@@ -408,6 +408,9 @@ class ClusterSimulator:
         self._models = [model_spec(r.model) for r in self._live_specs]
         self._devices = [device_spec(r.device)
                          for r in self._live_specs]
+        #: Resolved batch cap per distinct spec: each resolution is a
+        #: 64-point batch scan, and restore re-resolves the live pool.
+        self._caps: Dict[ReplicaSpec, int] = {}
         self.max_batch: List[int] = [
             self._resolve_max_batch(spec)
             for spec in self._live_specs]
@@ -439,13 +442,16 @@ class ClusterSimulator:
     def _resolve_max_batch(self, spec: ReplicaSpec) -> int:
         if spec.max_batch is not None:
             return min(spec.max_batch, spec.queue_capacity)
-        budget = self.deadline_ms * self.config.batch_budget_fraction
-        try:
-            best, _ = self.batching.best_batch_under_deadline(
-                spec.model, spec.device, budget,
-                max_batch=min(64, spec.queue_capacity))
-        except HardwareError:
-            best = 1
+        best = self._caps.get(spec)
+        if best is None:
+            budget = self.deadline_ms * self.config.batch_budget_fraction
+            try:
+                best, _ = self.batching.best_batch_under_deadline(
+                    spec.model, spec.device, budget,
+                    max_batch=min(64, spec.queue_capacity))
+            except HardwareError:
+                best = 1
+            self._caps[spec] = best
         return best
 
     def batch_latency_ms(self, replica: int, batch: int) -> float:

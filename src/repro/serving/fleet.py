@@ -44,12 +44,12 @@ from ..faults.server import CellFault, cell_fault_plan
 from ..obs.sketch import QuantileSketch
 from ..obs.slo import SloTracker
 from ..obs.tracer import current_tracer
-from ..rng import make_rng, seed_sequence
+from ..rng import seed_sequence
 from ..units import fps_to_period_ms
 from .admission import serving_slo_policy
 from .cluster import (SHED_REASONS, ClusterConfig, ClusterReport,
                       ClusterSimulator, ReplicaSpec, RouterPolicy)
-from .request import Request, generate_arrivals
+from .request import Request, schedule_arrivals
 
 #: Quantiles surfaced in the fleet summary.
 _SUMMARY_QUANTILES = (0.50, 0.99)
@@ -196,48 +196,30 @@ class FleetSimConfig:
 # -- fleet arrival schedule ---------------------------------------------------
 
 
+def _schedule(cfg: FleetSimConfig,
+              streams: Sequence[int]) -> List[Request]:
+    """Arrivals of ``streams`` under ``cfg``'s workload and ramp."""
+    return schedule_arrivals(
+        streams, cfg.num_streams, cfg.frame_rate, cfg.duration_s,
+        cfg.resolved_deadline_ms, ramp=cfg.ramp,
+        jitter_ms=cfg.arrival_jitter_ms, seed=cfg.seed)
+
+
 def generate_fleet_arrivals(cfg: FleetSimConfig) -> List[Request]:
     """The full fleet arrival schedule — a pure function of the
     workload parameters and seed, identical in every worker.
 
     Without a ramp this is exactly :func:`~repro.serving.request.
-    generate_arrivals`; with one, the run splits into equal segments
-    whose per-stream arrival rate is ``frame_rate × multiplier``,
-    phase-staggered the same way within each segment.
+    generate_arrivals`.
     """
-    deadline = cfg.resolved_deadline_ms
-    if cfg.ramp == (1.0,):
-        return generate_arrivals(
-            cfg.num_streams, cfg.frame_rate, cfg.duration_s, deadline,
-            jitter_ms=cfg.arrival_jitter_ms, seed=cfg.seed)
-    seg_s = cfg.duration_s / len(cfg.ramp)
-    rng = make_rng(cfg.seed, "serving-arrivals") \
-        if cfg.arrival_jitter_ms > 0 else None
-    out: List[Request] = []
-    for stream in range(cfg.num_streams):
-        seq = 0
-        for i, mult in enumerate(cfg.ramp):
-            rate = cfg.frame_rate * mult
-            period = fps_to_period_ms(rate)
-            frames = int(seg_s * rate)
-            phase = period * stream / cfg.num_streams
-            seg_start = i * seg_s * 1000.0
-            for k in range(frames):
-                t = seg_start + phase + k * period
-                if rng is not None:
-                    t += float(rng.uniform(0.0, cfg.arrival_jitter_ms))
-                out.append(Request(stream=stream, seq=seq,
-                                   arrival_ms=t,
-                                   deadline_ms=t + deadline))
-                seq += 1
-    out.sort(key=lambda r: (r.arrival_ms, r.stream, r.seq))
-    return out
+    return _schedule(cfg, range(cfg.num_streams))
 
 
 def cell_arrivals(cfg: FleetSimConfig, cell: int) -> List[Request]:
-    """The slice of the fleet schedule owned by ``cell``."""
-    return [r for r in generate_fleet_arrivals(cfg)
-            if stream_cell(r.stream, cfg.num_cells) == cell]
+    """The slice of the fleet schedule owned by ``cell``, built from
+    that cell's streams alone."""
+    streams = cell_streams(cfg.num_streams, cfg.num_cells).get(cell, [])
+    return _schedule(cfg, streams)
 
 
 def active_cells(cfg: FleetSimConfig) -> List[int]:
@@ -276,11 +258,15 @@ def cluster_config_for_cell(cfg: FleetSimConfig,
         seed=_cell_seed(cfg, cell))
 
 
-def make_cell_simulator(cfg: FleetSimConfig,
-                        cell: int) -> ClusterSimulator:
-    """A ready-to-run simulator for one cell of the fleet."""
-    return ClusterSimulator(cluster_config_for_cell(cfg, cell),
-                            arrivals=cell_arrivals(cfg, cell))
+def _cell_inputs(cfg: FleetSimConfig
+                 ) -> Dict[int, Tuple[ClusterConfig, List[Request]]]:
+    """Each active cell's cluster config and arrival schedule.
+
+    Built once per run and shipped with every work item, so workers
+    never rebuild them per scaling epoch.
+    """
+    return {c: (cluster_config_for_cell(cfg, c), cell_arrivals(cfg, c))
+            for c in active_cells(cfg)}
 
 
 # -- merge algebra ------------------------------------------------------------
@@ -555,9 +541,9 @@ def _map_cells(task, items: List[tuple], shards: int) -> List[dict]:
 def _cell_task(item: tuple) -> dict:
     """Worker body: run one cell start-to-drain (module-level so the
     process pool can pickle it)."""
-    cfg, cell = item
+    cell, ccfg, arrivals = item
     with current_tracer().span("fleet.cell", cell=cell):
-        report = make_cell_simulator(cfg, cell).run()
+        report = ClusterSimulator(ccfg, arrivals=arrivals).run()
     return {"cell": cell, "report": asdict(report)}
 
 
@@ -569,9 +555,7 @@ def _cell_epoch_task(item: tuple) -> dict:
     (``pause_ms=None`` drains to empty), and ships back the new
     snapshot plus this epoch's completion telemetry.
     """
-    cfg, cell, snap, instruction, pause_ms = item
-    ccfg = cluster_config_for_cell(cfg, cell)
-    arrivals = cell_arrivals(cfg, cell)
+    cell, ccfg, arrivals, snap, instruction, pause_ms = item
     if snap is None:
         sim = ClusterSimulator(ccfg, arrivals=arrivals)
         n0, busy0, shed0 = 0, 0.0, 0
@@ -582,7 +566,7 @@ def _cell_epoch_task(item: tuple) -> dict:
         busy0 = sum(rep0.replica_busy_ms.values())
         shed0 = sum(rep0.shed.values())
     if instruction == "add":
-        sim.add_replica(cfg.replicas_per_cell[0])
+        sim.add_replica(ccfg.replicas[0])
     elif instruction == "drain":
         sim.drain_replica(sim.active_indices()[-1])
     final = sim.run(pause_at_ms=pause_ms)
@@ -624,13 +608,14 @@ class FleetSimulator:
 
     def _run_flat(self) -> FleetReport:
         cfg = self.config
-        cells = active_cells(cfg)
-        results = _map_cells(_cell_task, [(cfg, c) for c in cells],
-                             cfg.shards)
+        inputs = _cell_inputs(cfg)
+        results = _map_cells(
+            _cell_task, [(c, *inputs[c]) for c in sorted(inputs)],
+            cfg.shards)
         reports = {r["cell"]: r["report"] for r in results}
         fleet = merge_cell_reports(cfg, reports)
         fleet.replica_seconds = (len(cfg.replicas_per_cell)
-                                 * len(cells) * cfg.duration_s)
+                                 * len(inputs) * cfg.duration_s)
         fleet.max_replicas_per_cell = len(cfg.replicas_per_cell)
         return fleet
 
@@ -638,7 +623,8 @@ class FleetSimulator:
         cfg = self.config
         pol = cfg.autoscale
         assert pol is not None
-        cells = active_cells(cfg)
+        inputs = _cell_inputs(cfg)
+        cells = sorted(inputs)
         scaler = Autoscaler(pol, cfg.resolved_deadline_ms)
         epoch_ms = pol.epoch_s * 1000.0
         n_epochs = int(math.ceil(cfg.duration_s * 1000.0 / epoch_ms))
@@ -654,7 +640,7 @@ class FleetSimulator:
             if not pending:
                 break
             pause = None if k == n_epochs else (k + 1) * epoch_ms
-            items = [(cfg, c, snaps[c], instruction, pause)
+            items = [(c, *inputs[c], snaps[c], instruction, pause)
                      for c in pending]
             results = _map_cells(_cell_epoch_task, items, cfg.shards)
             results.sort(key=lambda r: r["cell"])

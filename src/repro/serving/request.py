@@ -7,13 +7,15 @@ produces the full time-ordered arrival schedule for a fleet of streams
 — phase-staggered periodic streams (the same interleaving the fleet
 scheduler uses) with optional seeded jitter, so the schedule is a pure
 function of the workload parameters and the seed.
+:func:`schedule_arrivals` builds any subset of those streams, under an
+optional per-segment rate ramp, with the same bits.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import BenchmarkError
 from ..rng import make_rng
@@ -64,6 +66,28 @@ def generate_arrivals(num_streams: int, frame_rate: float,
     schedule arithmetic-exact).  Ties are broken by stream id, so the
     order is total and reruns are byte-identical.
     """
+    return schedule_arrivals(range(num_streams), num_streams, frame_rate,
+                             duration_s, deadline_ms,
+                             jitter_ms=jitter_ms, seed=seed)
+
+
+def schedule_arrivals(streams: Iterable[int], num_streams: int,
+                      frame_rate: float, duration_s: float,
+                      deadline_ms: float,
+                      ramp: Sequence[float] = (1.0,),
+                      jitter_ms: float = 0.0,
+                      seed: Optional[int] = None) -> List[Request]:
+    """Time-ordered arrivals of ``streams``, a subset of a fleet of
+    ``num_streams`` streams (:func:`generate_arrivals` is the whole
+    fleet without a ramp).
+
+    ``ramp`` splits the run into equal segments whose per-stream rate
+    is ``frame_rate × multiplier``, phase-staggered within each
+    segment.  Jitter is drawn for the whole fleet as one vector in
+    stream-major, sequence-minor order (bitwise equal to one scalar
+    draw per request in that order), so any subset of streams gets
+    exactly the arrivals the full schedule gives it.
+    """
     if num_streams < 1:
         raise BenchmarkError("need at least one request stream")
     if frame_rate <= 0 or duration_s <= 0:
@@ -72,17 +96,34 @@ def generate_arrivals(num_streams: int, frame_rate: float,
         raise BenchmarkError("deadline must be positive")
     if jitter_ms < 0:
         raise BenchmarkError("negative arrival jitter")
-    period = fps_to_period_ms(frame_rate)
-    frames = int(duration_s * frame_rate)
-    rng = make_rng(seed, "serving-arrivals") if jitter_ms > 0 else None
+    if not ramp or any(m <= 0 for m in ramp):
+        raise BenchmarkError("ramp multipliers must be positive")
+    seg_s = duration_s / len(ramp)
+    segments: List[Tuple[float, float, int]] = []
+    for i, mult in enumerate(ramp):
+        rate = frame_rate * mult
+        segments.append((i * seg_s * 1000.0, fps_to_period_ms(rate),
+                         int(seg_s * rate)))
+    per_stream = sum(frames for _, _, frames in segments)
+    jitter: Optional[List[float]] = None
+    if jitter_ms > 0:
+        rng = make_rng(seed, "serving-arrivals")
+        jitter = rng.uniform(0.0, jitter_ms,
+                             size=num_streams * per_stream).tolist()
     out: List[Request] = []
-    for stream in range(num_streams):
-        phase = period * stream / num_streams
-        for seq in range(frames):
-            t = phase + seq * period
-            if rng is not None:
-                t += float(rng.uniform(0.0, jitter_ms))
-            out.append(Request(stream=stream, seq=seq, arrival_ms=t,
-                               deadline_ms=t + deadline_ms))
+    for stream in streams:
+        if not 0 <= stream < num_streams:
+            raise BenchmarkError(
+                f"stream {stream} outside a fleet of {num_streams}")
+        seq = 0
+        for seg_start, period, frames in segments:
+            phase = period * stream / num_streams
+            for k in range(frames):
+                t = seg_start + phase + k * period
+                if jitter is not None:
+                    t += jitter[stream * per_stream + seq]
+                out.append(Request(stream=stream, seq=seq, arrival_ms=t,
+                                   deadline_ms=t + deadline_ms))
+                seq += 1
     out.sort(key=lambda r: (r.arrival_ms, r.stream, r.seq))
     return out

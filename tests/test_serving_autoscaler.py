@@ -9,13 +9,17 @@ runs, decisions included.
 """
 
 import json
+from collections import Counter
+from unittest import mock
 
 import pytest
 
 from repro.errors import BenchmarkError, ConfigError
+from repro.latency.batching import BatchingModel
 from repro.serving import (AutoscalePolicy, Autoscaler, ClusterConfig,
                            ClusterSimulator, FleetSimConfig,
                            FleetSimulator, ReplicaSpec)
+from repro.serving import fleet as fleet_mod
 
 SPEC = ReplicaSpec("yolov8-n", "orin-nano")
 DEADLINE_MS = 100.0
@@ -226,3 +230,32 @@ class TestAutoscaledFleet:
         assert json.dumps(one.summary(), sort_keys=True) \
             == json.dumps(four.summary(), sort_keys=True)
         assert one.autoscale_events == four.autoscale_events
+
+    def test_cell_inputs_and_batch_caps_built_once(self):
+        # Per-epoch rebuilds of a cell's schedule, or a batch-cap scan
+        # per replica on every restore, once dominated a fleet run.
+        # Two identical replicas: every pool, restored ones included,
+        # repeats a spec.
+        cfg = fleet_config(replicas_per_cell=(SPEC, SPEC))
+        scan = BatchingModel.best_batch_under_deadline
+        with mock.patch.object(fleet_mod, "cell_arrivals",
+                               wraps=fleet_mod.cell_arrivals) as built, \
+                mock.patch.object(BatchingModel,
+                                  "best_batch_under_deadline",
+                                  autospec=True,
+                                  side_effect=scan) as scans, \
+                mock.patch.object(ClusterSimulator, "restore",
+                                  wraps=ClusterSimulator.restore) \
+                as restores:
+            FleetSimulator(cfg).run()
+        assert restores.call_count > 0
+        cells = Counter(call.args[1] for call in built.call_args_list)
+        assert sorted(cells) == fleet_mod.active_cells(cfg)
+        assert set(cells.values()) == {1}
+        # One BatchingModel per simulator; the recorded calls keep each
+        # one alive, so its id names one simulator for the whole run.
+        per_sim = Counter(
+            (id(call.args[0]),) + call.args[1:]
+            + tuple(sorted(call.kwargs.items()))
+            for call in scans.call_args_list)
+        assert per_sim and set(per_sim.values()) == {1}

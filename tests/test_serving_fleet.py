@@ -72,10 +72,12 @@ class TestPartitioning:
 
 class TestFleetArrivals:
     def test_flat_ramp_matches_generate_arrivals(self):
-        cfg = small_config()
-        assert generate_fleet_arrivals(cfg) == generate_arrivals(
-            cfg.num_streams, cfg.frame_rate, cfg.duration_s,
-            cfg.resolved_deadline_ms, seed=cfg.seed)
+        for jitter in (0.0, 2.0):
+            cfg = small_config(arrival_jitter_ms=jitter)
+            assert generate_fleet_arrivals(cfg) == generate_arrivals(
+                cfg.num_streams, cfg.frame_rate, cfg.duration_s,
+                cfg.resolved_deadline_ms, jitter_ms=jitter,
+                seed=cfg.seed)
 
     def test_ramp_scales_segment_rates(self):
         # duration/rate chosen so every segment's frame count divides
@@ -89,12 +91,16 @@ class TestFleetArrivals:
         assert peak == 3 * calm
 
     def test_cell_arrivals_partition_the_schedule(self):
-        cfg = small_config(ramp=(1.0, 2.0))
-        merged = sorted(
-            (r for c in range(cfg.num_cells)
-             for r in cell_arrivals(cfg, c)),
-            key=lambda r: (r.arrival_ms, r.stream, r.seq))
-        assert merged == generate_fleet_arrivals(cfg)
+        # Jitter is drawn as one fleet-wide vector; every cell must
+        # still get exactly the bits the full schedule gives it.
+        for ramp in ((1.0,), (1.0, 2.0)):
+            for jitter in (0.0, 3.5):
+                cfg = small_config(ramp=ramp, arrival_jitter_ms=jitter)
+                merged = sorted(
+                    (r for c in range(cfg.num_cells)
+                     for r in cell_arrivals(cfg, c)),
+                    key=lambda r: (r.arrival_ms, r.stream, r.seq))
+                assert merged == generate_fleet_arrivals(cfg)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -128,7 +134,8 @@ def cell_reports():
     """Per-cell reports of one flat fleet run (shared; read-only)."""
     cfg = small_config()
     from repro.serving.fleet import _cell_task
-    return cfg, {c: _cell_task((cfg, c))["report"]
+    return cfg, {c: _cell_task((c, cluster_config_for_cell(cfg, c),
+                                cell_arrivals(cfg, c)))["report"]
                  for c in active_cells(cfg)}
 
 
