@@ -24,7 +24,7 @@ what the approximation cannot.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 from .dataflow import OUT_PARAM_NAMES, Event, ModuleEvents, Via
 from .rules import Rule, SourceFile, Violation, register
@@ -37,18 +37,16 @@ def _allowlisted(path: str, suffixes: Tuple[str, ...]) -> bool:
 
 #: One-entry scan cache: four rules consume the same module's events
 #: back to back, so caching the last tree avoids 4× re-scans without
-#: retaining anything across files.
-_SCAN_CACHE: Dict[int, ModuleEvents] = {}
+#: retaining anything across files.  The entry holds the tree itself
+#: and matches by identity: keyed on ``id(tree)`` alone, a later file
+#: whose tree reused a freed tree's id got the stale file's events.
+_SCAN_CACHE: List[Tuple[ast.AST, ModuleEvents]] = []
 
 
 def _module_events(src: SourceFile) -> ModuleEvents:
-    key = id(src.tree)
-    found = _SCAN_CACHE.get(key)
-    if found is None:
-        _SCAN_CACHE.clear()  # previous file's tree is done; drop it
-        found = ModuleEvents.scan(src.tree)
-        _SCAN_CACHE[key] = found
-    return found
+    if not _SCAN_CACHE or _SCAN_CACHE[0][0] is not src.tree:
+        _SCAN_CACHE[:] = [(src.tree, ModuleEvents.scan(src.tree))]
+    return _SCAN_CACHE[0][1]
 
 
 class _AliasRule(Rule):

@@ -98,7 +98,7 @@ def _probe_nn_forward_e2e(shards: int) -> None:
     for mode in modes:
         model = build_mini_yolo("yolov8", "n")
         if mode == "fused":
-            model.fuse(workspace=True)
+            model.fuse()
         if NN_E2E_MODE == "both":
             with tracer.span(f"nn_e2e.{mode}"):
                 for _ in range(2):

@@ -98,7 +98,7 @@ def _nn_forward_probes(wallclock: bool) -> Dict[str, dict]:
     for mode in ("unfused", "fused"):
         model = build_mini_yolo(NN_E2E_FAMILY, NN_E2E_VARIANT)
         if mode == "fused":
-            model.fuse(workspace=True)
+            model.fuse()
         tracer = Tracer(clock=TickClock())
         frame_sketch = QuantileSketch()
         with use_tracer(tracer):
@@ -122,7 +122,7 @@ def _nn_forward_probes(wallclock: bool) -> Dict[str, dict]:
         for mode in ("unfused", "fused"):
             model = build_mini_yolo(NN_E2E_FAMILY, NN_E2E_VARIANT)
             if mode == "fused":
-                model.fuse(workspace=True)
+                model.fuse()
             for _ in range(2):  # warm caches / arena before timing
                 model.forward(x, training=False)
             sketch = QuantileSketch()

@@ -96,18 +96,17 @@ class MiniYolo:
 
     # -- eval-time folding -------------------------------------------------
 
-    def fuse(self, workspace: bool = True, backend: str = "gemm",
-             blas_threads: Optional[int] = None) -> None:
+    def fuse(self) -> None:
         """Fold Conv→BN(+SiLU) chains for fast eval forwards.
 
         Subsequent ``forward(training=False)`` calls run through the
         fused pipeline; training forwards keep using (and updating) the
         unfused network and invalidate the fold.  ``load()`` re-folds
-        automatically so the fused weights track the checkpoint.
+        automatically so the fused weights track the checkpoint.  The
+        fused convs keep their intermediates in one workspace arena
+        reused across frames.
         """
-        ws = Workspace() if workspace else None
-        self._fused = self.net.fuse(workspace=ws, backend=backend,
-                                    blas_threads=blas_threads)
+        self._fused = self.net.fuse(workspace=Workspace())
 
     @property
     def fused(self) -> bool:
@@ -191,9 +190,7 @@ class MiniYolo:
         if self._fused is not None:
             # Re-fold from the restored parameters; the previous fold
             # captured pre-checkpoint weights.
-            self.fuse(workspace=self._fused.workspace is not None,
-                      backend=self._fused.backend,
-                      blas_threads=self._fused.blas_threads)
+            self.fuse()
 
 
 def build_mini_yolo(family: str, variant: str, seed: int = 7,

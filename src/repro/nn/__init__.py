@@ -7,7 +7,8 @@ depth).  Design notes, per the HPC-parallel guides:
   GEMM formulation so the hot loop is a single large matrix multiply
   (BLAS-backed), not Python-level iteration;
 * ``sliding_window_view`` provides the im2col patches as a *view* — the
-  only copy is the one reshape into GEMM layout;
+  only copy is the one into GEMM layout; every eval convolution, unfused
+  or folded, runs the one kernel ``conv2d_eval``;
 * every layer implements ``forward``/``backward`` with cached
   activations, exposes ``params()``/``grads()`` dicts, and is
   gradient-checked in the test suite.
@@ -25,6 +26,7 @@ from .layers import (
     Upsample2x,
     Linear,
     Flatten,
+    conv2d_eval,
     sigmoid,
 )
 from .blocks import ConvBNAct, ResidualBlock, CSPBlock, SPPFBlock
@@ -51,7 +53,8 @@ from .flops import conv2d_flops, linear_flops, layer_memory_bytes
 __all__ = [
     "he_init", "xavier_init", "zeros_init",
     "Layer", "Conv2d", "BatchNorm2d", "SiLU", "LeakyReLU", "ReLU",
-    "MaxPool2d", "Upsample2x", "Linear", "Flatten", "sigmoid",
+    "MaxPool2d", "Upsample2x", "Linear", "Flatten", "conv2d_eval",
+    "sigmoid",
     "ConvBNAct", "ResidualBlock", "CSPBlock", "SPPFBlock",
     "Sequential", "count_parameters",
     "Workspace", "fuse_eval", "fold_conv_bn",

@@ -109,7 +109,7 @@ class CSPBlock(_Composite):
         self.half = out_channels // 2
         self.proj = self._register(
             "proj", ConvBNAct(in_channels, out_channels, 1, rng=rng))
-        self.bottlenecks: List[ResidualBlock] = [
+        self.bottlenecks: List[Layer] = [
             self._register(f"b{i}", ResidualBlock(self.half, rng=rng))
             for i in range(n)]
         self.fuse = self._register(
@@ -184,15 +184,38 @@ class SPPFBlock(_Composite):
         np.add.at(dxp, (nn_idx, cc_idx, rows, cols), grad)
         return dxp[:, :, 1:-1, 1:-1]
 
+    @staticmethod
+    def _pool3_s1_eval(x: np.ndarray) -> np.ndarray:
+        """Stride-1 3×3 max pool without the argmax bookkeeping.
+
+        Training needs the argmax for backward routing; eval only needs
+        the maxima, which nine in-place ``np.maximum`` passes over the
+        shifted window views compute far cheaper (bitwise the same).
+        """
+        h, w = x.shape[2], x.shape[3]
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)),
+                    constant_values=-np.inf)
+        out = np.ascontiguousarray(xp[:, :, 0:h, 0:w])
+        for di in range(3):
+            for dj in range(3):
+                if di == 0 and dj == 0:
+                    continue
+                np.maximum(out, xp[:, :, di:di + h, dj:dj + w], out=out)
+        return out.astype(np.float32, copy=False)
+
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         y = self.pre(x, training)
-        p1, a1 = self._pool3_s1(y)
-        p2, a2 = self._pool3_s1(p1)
-        p3, a3 = self._pool3_s1(p2)
-        cat = np.concatenate([y, p1, p2, p3], axis=1)
-        self._cache = (y.shape, freeze(a1), freeze(a2), freeze(a3)) \
-            if training else None
-        return self.post(cat, training)
+        if training:
+            p1, a1 = self._pool3_s1(y)
+            p2, a2 = self._pool3_s1(p1)
+            p3, a3 = self._pool3_s1(p2)
+            self._cache = (y.shape, freeze(a1), freeze(a2), freeze(a3))
+        else:
+            p1 = self._pool3_s1_eval(y)
+            p2 = self._pool3_s1_eval(p1)
+            p3 = self._pool3_s1_eval(p2)
+            self._cache = None
+        return self.post(np.concatenate([y, p1, p2, p3], axis=1), training)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:

@@ -1,10 +1,13 @@
 """Neural-network layers with forward/backward passes (NCHW, float32).
 
 Convolution is im2col + GEMM: patches come from
-``numpy.lib.stride_tricks.sliding_window_view`` (a view, no copy), and the
+``numpy.lib.stride_tricks.sliding_window_view`` (a view, no copy), and a
 single ``cols @ W.T`` matmul does all the arithmetic — the vectorisation
-pattern the HPC guides prescribe.  ``col2im`` scatter-adds gradients back
-with a loop over the (small) kernel footprint only, never over pixels.
+pattern the HPC guides prescribe.  Every eval convolution, unfused or
+folded, runs the one kernel :func:`conv2d_eval`; the training forward
+keeps its column matrix for the backward, where ``col2im`` scatter-adds
+gradients back with a loop over the (small) kernel footprint only, never
+over pixels.
 """
 
 from __future__ import annotations
@@ -14,16 +17,16 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import ShapeError
+from ..errors import ConfigError, ShapeError
 from ..obs import current_tracer
 from .init import he_init, xavier_init, zeros_init
 from .sanitizer import freeze
 from .workspace import Workspace
 
-#: Target bytes for one im2col row-block in the workspace-backed conv
-#: eval path: the strided window copy proceeds in chunks of output rows
-#: sized to stay cache-resident instead of streaming one cold pass over
-#: the whole column matrix.
+#: Target bytes for one im2col row-block in :func:`conv2d_eval`: the
+#: strided window copy proceeds in chunks of output rows sized to stay
+#: cache-resident instead of streaming one cold pass over the whole
+#: column matrix.
 IM2COL_BLOCK_BYTES = 1 << 19
 
 
@@ -72,6 +75,111 @@ class Layer:
         return self.forward(x, training=training)
 
 
+def _apply_act_(buf: np.ndarray, kind: Optional[str], slope: float) -> None:
+    """In-place activation epilogue on a GEMM output buffer.
+
+    The SiLU branch mirrors :func:`sigmoid` element-for-element
+    (``exp(-|x|)`` based), so fused and unfused activations agree to
+    float32 rounding.  The leaky branch assumes ``slope`` in [0, 1];
+    the fuser only folds such activations.
+    """
+    if kind is None:
+        return
+    if kind == "relu":
+        np.maximum(buf, 0.0, out=buf)
+    elif kind == "leaky_relu":
+        # max(x, slope*x) == leaky_relu(x) exactly for slope in [0, 1].
+        np.maximum(buf, buf * np.float32(slope), out=buf)
+    elif kind == "silu":
+        t = np.exp(-np.abs(buf))
+        s = np.where(buf >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+        np.multiply(buf, s.astype(np.float32), out=buf)
+    else:
+        raise ConfigError(f"unknown fused activation {kind!r}")
+
+
+def _conv_geometry(x: np.ndarray, in_channels: int, k: int, s: int,
+                   p: int) -> Tuple[int, int, int, int]:
+    """(ho, wo, hp, wp) of the conv output / padded input.
+
+    The one input check of every conv path: a non-NCHW input, the wrong
+    channel count and an empty output all raise :class:`ShapeError`.
+    """
+    if x.ndim != 4 or x.shape[1] != in_channels:
+        raise ShapeError(
+            f"conv expects (N, {in_channels}, H, W), got {x.shape}")
+    hp, wp = x.shape[2] + 2 * p, x.shape[3] + 2 * p
+    ho, wo = (hp - k) // s + 1, (wp - k) // s + 1
+    if ho < 1 or wo < 1:
+        raise ShapeError(
+            f"conv output empty for input {x.shape} (k={k}, s={s}, "
+            f"p={p})")
+    return ho, wo, hp, wp
+
+
+def conv2d_eval(x: np.ndarray, w2d: np.ndarray, b: Optional[np.ndarray],
+                k: int, s: int, p: int, ws: Optional[Workspace] = None,
+                owner: object = None, epilogue: bool = False,
+                act: Optional[str] = None,
+                slope: float = 0.0) -> np.ndarray:
+    """Eval convolution: blocked im2col, one GEMM, in-place epilogue.
+
+    ``w2d`` is the ``(O, C*k*k)`` weight matrix and ``b`` the optional
+    bias.  The padded input, the column matrix and the GEMM output live
+    in ``ws`` buffers keyed by ``owner`` (reused across frames), or are
+    fresh arrays when ``ws`` is None; the two are bitwise identical.
+    The window→column copy is cache-blocked over output rows and the
+    bias is added on the GEMM output.  With ``epilogue`` (the folded
+    layers) ``act`` (see :func:`_apply_act_`; None is the identity)
+    then runs in place on it under its own ``nn.act`` span, so every
+    folded conv has the same span shape.  The returned NCHW tensor is
+    always a fresh array, never an arena view.
+    """
+    tracer = current_tracer()
+    c = w2d.shape[1] // (k * k)
+    ho, wo, hp, wp = _conv_geometry(x, c, k, s, p)
+    n, o, ckk = x.shape[0], w2d.shape[0], w2d.shape[1]
+    rows = n * ho * wo
+    # Arena bookkeeping happens outside the kernel spans: the
+    # im2col/gemm self-times measure the copies and the GEMM, not the
+    # buffer-table lookups (those land in nn.conv2d self-time).
+    if p:
+        xp = np.empty((n, c, hp, wp), dtype=np.float32) if ws is None \
+            else ws.buffer(owner, "pad", (n, c, hp, wp))
+        xp.fill(0.0)
+        xp[:, :, p:p + x.shape[2], p:p + x.shape[3]] = x
+    else:
+        xp = x
+    cols = np.empty((rows, ckk), dtype=np.float32) if ws is None \
+        else ws.buffer(owner, "cols", (rows, ckk))
+    out2d = np.empty((rows, o), dtype=np.float32) if ws is None \
+        else ws.buffer(owner, "gemm", (rows, o))
+    with tracer.span("nn.im2col"):
+        win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        cols6 = cols.reshape(n, ho, wo, c, k, k)
+        hb = max(1, min(ho, IM2COL_BLOCK_BYTES // max(1, wo * ckk * 4)))
+        for i in range(n):
+            for h0 in range(0, ho, hb):
+                # (C, hb, Wo, k, k) → (hb, Wo, C, k, k): one strided
+                # copy straight into the column buffer.
+                cols6[i, h0:h0 + hb] = win[i, :, h0:h0 + hb].transpose(
+                    1, 2, 0, 3, 4)
+    with tracer.span("nn.gemm"):
+        np.dot(cols, w2d.T, out=out2d)
+        if b is not None:
+            out2d += b
+    if epilogue:
+        with tracer.span("nn.act"):
+            _apply_act_(out2d, act, slope)
+    out = out2d.reshape(n, ho, wo, o)
+    # .copy(), not ascontiguousarray: when the transposed view is
+    # already contiguous (1x1 spatial output) ascontiguousarray returns
+    # the view itself — an arena buffer escaping to the caller,
+    # overwritten on the next frame.  An explicit copy is
+    # bitwise-identical and always fresh (RL203).
+    return out.transpose(0, 3, 1, 2).copy()
+
+
 class Conv2d(Layer):
     """2-D convolution (OIHW weights), stride/pad, optional bias."""
 
@@ -96,16 +204,10 @@ class Conv2d(Layer):
         self.dweight = np.zeros_like(self.weight)
         self.dbias = np.zeros_like(self.bias) if bias else None
         self._cache: Optional[Tuple] = None
-        #: When set, eval forwards run the arena-backed blocked
-        #: im2col→GEMM path (intermediates reused across frames).
+        #: When set, eval forwards keep their intermediates in this
+        #: arena (reused across frames) instead of fresh arrays.
         self.workspace = workspace
         self.name = f"conv{kernel}x{kernel}"
-
-    def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"conv expects (N, {self.in_channels}, H, W), got "
-                f"{x.shape}")
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         tracer = current_tracer()
@@ -114,32 +216,19 @@ class Conv2d(Layer):
         with tracer.span("nn.conv2d", layer=self.name):
             return self._forward(x, training)
 
-    def _geometry(self, x: np.ndarray) -> Tuple[int, int, int, int]:
-        """(ho, wo, hp, wp) of the conv output / padded input."""
-        h, w = x.shape[2], x.shape[3]
-        k, s, p = self.kernel, self.stride, self.padding
-        hp, wp = h + 2 * p, w + 2 * p
-        ho = (hp - k) // s + 1
-        wo = (wp - k) // s + 1
-        if ho < 1 or wo < 1:
-            raise ShapeError(
-                f"conv output empty for input {x.shape} (k={k}, s={s}, "
-                f"p={p})")
-        return ho, wo, hp, wp
-
     def _forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        self._check_input(x)
+        k, s, p = self.kernel, self.stride, self.padding
+        w_mat = self.weight.reshape(self.out_channels, -1)
         if not training:
             # Eval forwards never feed a backward; clear the training
             # cache so a stray backward() raises instead of silently
             # differentiating a previous batch's activations.
             self._cache = None
-            if self.workspace is not None:
-                return self._forward_workspace(x)
+            return conv2d_eval(x, w_mat, self.bias, k, s, p,
+                               ws=self.workspace, owner=self)
         tracer = current_tracer()
+        ho, wo, hp, wp = _conv_geometry(x, self.in_channels, k, s, p)
         n = x.shape[0]
-        k, s, p = self.kernel, self.stride, self.padding
-        ho, wo, hp, wp = self._geometry(x)
         if p:
             xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         else:
@@ -147,75 +236,20 @@ class Conv2d(Layer):
         with tracer.span("nn.im2col"):
             # (N, C, Ho*, Wo*, k, k) view, strided to the requested
             # stride; GEMM layout rows = output positions, cols =
-            # receptive field.
+            # receptive field.  The reshape copies; backward reuses it.
             win = sliding_window_view(
                 xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
             cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(
                 n * ho * wo, self.in_channels * k * k)
         with tracer.span("nn.gemm"):
-            w_mat = self.weight.reshape(self.out_channels, -1)
             out = cols @ w_mat.T
             if self.bias is not None:
                 out += self.bias
         out = out.reshape(n, ho, wo, self.out_channels)
         out = np.ascontiguousarray(out.transpose(0, 3, 1, 2),
                                    dtype=np.float32)
-        if training:
-            self._cache = (x.shape, freeze(cols), (n, ho, wo, hp, wp))
+        self._cache = (x.shape, freeze(cols), (n, ho, wo, hp, wp))
         return out
-
-    def _forward_workspace(self, x: np.ndarray) -> np.ndarray:
-        """Eval path over the preallocated arena.
-
-        Numerically identical to the default path (same column layout,
-        one BLAS GEMM), but the padded input, the column matrix and the
-        GEMM output live in :attr:`workspace` buffers reused across
-        frames, and the window→column copy is cache-blocked over output
-        rows.  The returned NCHW tensor is the only fresh allocation —
-        it escapes to the caller, arena intermediates never do.
-        """
-        tracer = current_tracer()
-        ws = self.workspace
-        n, c = x.shape[0], self.in_channels
-        k, s, p = self.kernel, self.stride, self.padding
-        ho, wo, hp, wp = self._geometry(x)
-        if p:
-            xp = ws.buffer(self, "pad", (n, c, hp, wp))
-            xp.fill(0.0)
-            xp[:, :, p:p + x.shape[2], p:p + x.shape[3]] = x
-        else:
-            xp = x
-        ckk = c * k * k
-        # Arena bookkeeping happens outside the kernel spans: the
-        # im2col/gemm self-times measure the copies and the GEMM, not
-        # the buffer-table lookups (those land in nn.conv2d self-time).
-        cols = ws.buffer(self, "cols", (n * ho * wo, ckk))
-        out2d = ws.buffer(self, "gemm", (n * ho * wo, self.out_channels))
-        with tracer.span("nn.im2col"):
-            win = sliding_window_view(
-                xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-            cols6 = cols.reshape(n, ho, wo, c, k, k)
-            hb = max(1, min(ho, IM2COL_BLOCK_BYTES
-                            // max(1, wo * ckk * 4)))
-            for i in range(n):
-                for h0 in range(0, ho, hb):
-                    h1 = min(ho, h0 + hb)
-                    # (C, hb, Wo, k, k) → (hb, Wo, C, k, k): one
-                    # strided copy straight into the arena buffer.
-                    cols6[i, h0:h1] = win[i, :, h0:h1].transpose(
-                        1, 2, 0, 3, 4)
-        with tracer.span("nn.gemm"):
-            w_mat = self.weight.reshape(self.out_channels, -1)
-            np.dot(cols, w_mat.T, out=out2d)
-            if self.bias is not None:
-                out2d += self.bias
-        out = out2d.reshape(n, ho, wo, self.out_channels)
-        # .copy(), not ascontiguousarray: when the transposed view is
-        # already contiguous (1x1 spatial output) ascontiguousarray
-        # returns the view itself — an arena buffer escaping to the
-        # caller, overwritten on the next frame.  An explicit copy is
-        # bitwise-identical and always fresh (RL203).
-        return out.transpose(0, 3, 1, 2).copy()
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:

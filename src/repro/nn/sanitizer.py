@@ -261,7 +261,7 @@ def run_sanitize_sweep(image_size: int = 64, seed: int = 7,
             .astype(np.float32)
         unfused = MiniYolo(cfg, seed=seed)
         fused = MiniYolo(cfg, seed=seed)
-        fused.fuse(workspace=True)
+        fused.fuse()
 
         y_unfused = unfused.forward(x, training=False)
         y_fused = fused.forward(x, training=False)

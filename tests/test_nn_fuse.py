@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ModelError
+from repro.errors import ModelError, ShapeError
 from repro.models.yolo.mini import MINI_YOLO_VARIANTS, build_mini_yolo
-from repro.nn import (BatchNorm2d, Conv2d, ConvBNAct, FusedConvBNAct,
-                      FusedSequential, LeakyReLU, ReLU, Sequential, SiLU,
-                      Workspace, fold_conv_bn, fuse_eval)
+from repro.nn import (BatchNorm2d, Conv2d, ConvBNAct, CSPBlock,
+                      FusedConvBNAct, FusedSequential, LeakyReLU, ReLU,
+                      ResidualBlock, Sequential, SiLU, SPPFBlock, Workspace,
+                      fold_conv_bn, fuse_eval)
 
 RNG = np.random.default_rng(1)
 
@@ -58,7 +59,7 @@ class TestFusedEquivalence:
         model = build_mini_yolo(cfg.family, cfg.variant)
         x = _images()
         ref = model.forward(x, training=False)
-        model.fuse(workspace=True)
+        model.fuse()
         out = model.forward(x, training=False)
         np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
 
@@ -68,15 +69,7 @@ class TestFusedEquivalence:
         x = np.random.default_rng(seed).normal(
             size=(1, 3, 64, 64)).astype(np.float32)
         ref = model.forward(x, training=False)
-        model.fuse(workspace=True)
-        assert np.max(np.abs(model.forward(x, training=False) - ref)) \
-            < 1e-5
-
-    def test_einsum_backend_matches(self):
-        model = build_mini_yolo("yolov8", "n")
-        x = _images(n=1)
-        ref = model.forward(x, training=False)
-        model.fuse(workspace=False, backend="einsum")
+        model.fuse()
         assert np.max(np.abs(model.forward(x, training=False) - ref)) \
             < 1e-5
 
@@ -115,10 +108,42 @@ class TestFusedEquivalence:
         np.testing.assert_allclose(
             fused.forward(x, training=False), ref, atol=1e-5)
 
-    def test_unknown_backend_rejected(self):
-        net = Sequential([Conv2d(3, 4, 3, rng=RNG)], name="c")
-        with pytest.raises(ConfigError):
-            fuse_eval(net, backend="winograd")
+    @pytest.mark.parametrize("slope", [1.5, -0.1])
+    def test_out_of_range_leaky_slope_stays_unfused(self, slope):
+        # max(x, slope*x) is not leaky_relu outside [0, 1]; the fuser
+        # keeps such an activation as its own layer.
+        gen = np.random.default_rng(4)
+        net = Sequential([Conv2d(3, 4, 3, rng=gen), BatchNorm2d(4),
+                          LeakyReLU(slope=slope)], name="leaky")
+        net.forward(gen.normal(size=(2, 3, 8, 8)).astype(np.float32),
+                    training=True)
+        x = RNG.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        ref = net.forward(x, training=False)
+        fused = fuse_eval(net)
+        assert isinstance(fused.layers[-1], LeakyReLU)
+        np.testing.assert_allclose(
+            fused.forward(x, training=False), ref, atol=1e-5)
+
+
+def _conv_layer(kind):
+    conv = Conv2d(3, 4, 3, rng=np.random.default_rng(6))
+    if kind == "conv2d":
+        return conv
+    weight, bias = fold_conv_bn(conv, None)
+    return FusedConvBNAct(weight, bias, conv.stride, conv.padding,
+                          act="silu")
+
+
+class TestConvInputErrors:
+    """Unfused and fused convs share one geometry check."""
+
+    @pytest.mark.parametrize("kind", ["conv2d", "fused"])
+    @pytest.mark.parametrize("shape", [(1, 5, 8, 8), (1, 3, 8), (1, 3, 0, 8)],
+                             ids=["channels", "rank", "empty-output"])
+    def test_bad_input_raises_shape_error(self, kind, shape):
+        x = np.zeros(shape, dtype=np.float32)
+        with pytest.raises(ShapeError):
+            _conv_layer(kind).forward(x, training=False)
 
 
 class TestFusedEvalOnly:
@@ -133,6 +158,32 @@ class TestFusedEvalOnly:
                       training=False)
         with pytest.raises(ModelError):
             fused.backward(np.ones((1, 8, 8, 8), dtype=np.float32))
+
+    def test_composite_blocks_rebuilt_over_fused_units(self):
+        model = build_mini_yolo("yolov8", "n")
+        fused = fuse_eval(model.net)
+        for src, blk in zip(model.net.layers, fused.layers):
+            if not isinstance(src, (ResidualBlock, CSPBlock, SPPFBlock)):
+                continue
+            assert type(blk) is type(src)
+            assert blk._sub is not src._sub
+            assert not set(map(id, blk._sub.values())) \
+                & set(map(id, src._sub.values()))
+            if isinstance(src, CSPBlock):
+                assert blk.bottlenecks is not src.bottlenecks
+                assert blk.bottlenecks == [
+                    blk._sub[f"b{i}"] for i in range(len(src.bottlenecks))]
+                assert all(type(b) is ResidualBlock
+                           and isinstance(b.c1, FusedConvBNAct)
+                           for b in blk.bottlenecks)
+            first = src.proj if isinstance(src, CSPBlock) else src.pre
+            x = RNG.normal(size=(1, first.conv.in_channels, 8, 8)) \
+                .astype(np.float32)
+            with pytest.raises(ModelError):
+                blk.forward(x, training=True)
+            out = blk.forward(x, training=False)
+            with pytest.raises(ModelError):
+                blk.backward(np.ones_like(out))
 
     def test_source_network_unchanged_by_fuse(self):
         model = build_mini_yolo("yolov8", "n")
@@ -164,7 +215,7 @@ class TestFusedCheckpointSafety:
         path = str(tmp_path / "ckpt.npz")
         donor.save(path)
         model = build_mini_yolo("yolov8", "n", seed=7)
-        model.fuse(workspace=True)
+        model.fuse()
         x = _images(n=1)
         stale = model.forward(x, training=False)
         model.load(path)
@@ -216,7 +267,7 @@ class TestWorkspace:
 
     def test_consecutive_frames_share_arena(self):
         model = build_mini_yolo("yolov8", "n")
-        model.fuse(workspace=True)
+        model.fuse()
         ws = model._fused.workspace
         out1 = model.forward(_images(n=1), training=False)
         buffers = ws.num_buffers
@@ -228,7 +279,7 @@ class TestWorkspace:
 
     def test_shape_change_then_reset(self):
         model = build_mini_yolo("yolov8", "n")
-        model.fuse(workspace=True)
+        model.fuse()
         ws = model._fused.workspace
         model.forward(_images(n=1), training=False)
         single = ws.num_buffers
@@ -238,21 +289,3 @@ class TestWorkspace:
         assert ws.num_buffers == 0
         out = model.forward(_images(n=1), training=False)
         assert out.shape[0] == 1
-
-
-class TestBlasThreadsKnob:
-    def test_invalid_count_rejected(self):
-        net = Sequential([Conv2d(3, 4, 3, rng=RNG)], name="c")
-        with pytest.raises(ConfigError):
-            fuse_eval(net, blas_threads=0)
-
-    def test_knob_gated_on_threadpoolctl(self):
-        from repro.nn import fuse as fuse_mod
-        net = Sequential([Conv2d(3, 4, 3, rng=RNG)], name="c")
-        if fuse_mod.threadpool_limits is None:
-            with pytest.raises(ConfigError):
-                fuse_eval(net, blas_threads=2)
-        else:
-            fused = fuse_eval(net, blas_threads=2)
-            fused.forward(RNG.normal(size=(1, 3, 8, 8))
-                          .astype(np.float32), training=False)

@@ -303,6 +303,25 @@ class TestConvWorkspacePath:
             conv.forward(x, training=False),
             ref.forward(x, training=False))
 
+    @pytest.mark.parametrize("n,cin,cout,k,stride,pad,hw", [
+        (1, 16, 1, 1, 1, 0, 5),    # depth-head shape: 1x1, one output
+        (1, 32, 1, 1, 1, 0, 16),
+        (2, 16, 1, 1, 1, 0, 8),
+        (1, 8, 4, 3, 1, 1, 1),     # 1x1 spatial output
+    ])
+    def test_workspace_eval_matches_default_across_shapes(
+            self, n, cin, cout, k, stride, pad, hw):
+        from repro.nn.workspace import Workspace
+        ws = Workspace()
+        ref = Conv2d(cin, cout, k, stride=stride, padding=pad,
+                     rng=np.random.default_rng(3))
+        conv = Conv2d(cin, cout, k, stride=stride, padding=pad,
+                      rng=np.random.default_rng(3), workspace=ws)
+        x = RNG.normal(size=(n, cin, hw, hw)).astype(np.float32)
+        np.testing.assert_array_equal(
+            conv.forward(x, training=False),
+            ref.forward(x, training=False))
+
     def test_workspace_buffers_reused_across_frames(self):
         from repro.nn.workspace import Workspace
         ws = Workspace()

@@ -181,7 +181,7 @@ class TestArenaEscape:
         res = lint_snippet(tmp_path, """
             import numpy as np
             class Conv:
-                def _forward_workspace(self, x):
+                def _forward_arena(self, x):
                     ws = self.workspace
                     out2d = ws.buffer(self, "gemm", (8, 4))
                     out = out2d.reshape(2, 2, 2, 4)
@@ -298,6 +298,9 @@ class TestTamperRealBugs:
         assert res.exit_code == 1
 
     def test_conditional_copy_escape_trips_rl203(self, tmp_path):
+        # The anchor is the return of the module-level conv eval kernel,
+        # which every unfused and fused eval conv runs; its arena is the
+        # ``ws`` parameter, not ``self.workspace``.
         tampered = self._tamper(
             tmp_path, "repro/nn/layers.py",
             "return out.transpose(0, 3, 1, 2).copy()",
@@ -305,6 +308,7 @@ class TestTamperRealBugs:
         res = lint_paths([tampered], strict=True, select=["RL203"],
                          root=str(tmp_path))
         assert "RL203" in rule_ids_of(res)
+        assert any("conv2d_eval()" in v.message for v in res.violations)
 
     def test_live_tree_is_rl2xx_clean(self):
         res = lint_paths([SRC], strict=True, root=REPO_ROOT,
