@@ -1,8 +1,10 @@
 """Experiment: dynamic-batching serving under load (repro.serving).
 
 Sweeps offered load (number of 10 FPS drone streams) across admission
-policies on the workstation GPU and cross-validates the discrete-event
-simulator against the analytic :class:`BatchingModel`:
+policies on one workstation GPU (a one-replica
+:class:`~repro.serving.cluster.ClusterSimulator`) and cross-validates
+the discrete-event simulator against the analytic
+:class:`BatchingModel`:
 
 * at low load every policy is violation-free — the deadline-aware
   batcher waits out its slack and ships small batches;
@@ -15,8 +17,9 @@ simulator against the analytic :class:`BatchingModel`:
   Clipper/MArk argument for deadline-aware admission;
 * round-robin batch formation keeps every stream served under
   overload (no starvation);
-* with a fixed batch size the simulator's measured per-frame execution
-  latency reproduces ``BatchingModel.batch_point`` within 1 %.
+* saturated with a batch cap of 8 (every batch full), the simulator's
+  measured per-frame execution latency reproduces
+  ``BatchingModel.batch_point`` within 1 %.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from ...hardware.registry import device_spec
 from ...latency.batching import BatchingModel
 from ...models.spec import model_spec
-from ...serving import ServingConfig, ServingSimulator
+from ...serving import ClusterConfig, ClusterSimulator, ReplicaSpec
 from ..runner import ExperimentResult
 
 MODEL = "yolov8-m"
@@ -39,28 +42,31 @@ def run(duration_s: float = 10.0) -> ExperimentResult:
     reports = {}
     for streams in STREAM_SWEEP:
         for policy in POLICIES:
-            cfg = ServingConfig(model=MODEL, device=DEVICE,
-                                num_streams=streams, policy=policy,
-                                duration_s=duration_s)
-            rep = ServingSimulator(cfg).run()
+            cfg = ClusterConfig(
+                replicas=(ReplicaSpec(model=MODEL, device=DEVICE),),
+                num_streams=streams, admission=policy,
+                duration_s=duration_s)
+            rep = ClusterSimulator(cfg).run()
             reports[(streams, policy)] = rep
             rows.append([streams, cfg.offered_rps, policy,
                          rep.admitted_fraction, rep.violation_rate,
                          rep.p99_ms, rep.throughput_fps,
                          rep.mean_batch])
 
-    # Cross-validation: saturate a fixed-batch server and compare the
-    # measured per-frame execution latency against the analytic model.
-    fixed_cfg = ServingConfig(
-        model=MODEL, device=DEVICE, num_streams=16, policy="none",
-        fixed_batch=CROSS_VALIDATION_BATCH, queue_capacity=512,
-        duration_s=duration_s)
-    fixed = ServingSimulator(fixed_cfg).run()
+    # Cross-validation: saturate a server capped at the batch size (so
+    # every batch is full) and compare the measured per-frame execution
+    # latency against the analytic model.
+    saturated = ClusterSimulator(ClusterConfig(
+        replicas=(ReplicaSpec(model=MODEL, device=DEVICE,
+                              queue_capacity=512,
+                              max_batch=CROSS_VALIDATION_BATCH),),
+        num_streams=16, admission="none",
+        duration_s=duration_s)).run()
     point = BatchingModel().batch_point(
         model_spec(MODEL), device_spec(DEVICE),
         CROSS_VALIDATION_BATCH)
     agreement_pct = 100.0 * abs(
-        fixed.exec_per_frame_ms - point.per_frame_ms) \
+        saturated.exec_per_frame_ms - point.per_frame_ms) \
         / point.per_frame_ms
 
     low, over = STREAM_SWEEP[0], STREAM_SWEEP[-1]

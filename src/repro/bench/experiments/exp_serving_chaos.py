@@ -80,10 +80,10 @@ def run(duration_s: float = DURATION_S) -> ExperimentResult:
                           end_ms=600.0 * duration_s, magnitude=4.0),)
     plain = ClusterSimulator(ClusterConfig(
         seed=SEED, duration_s=duration_s, faults=slowdown,
-        admit_deadline=False)).run()
+        admission="none")).run()
     hedged = ClusterSimulator(ClusterConfig(
         seed=SEED, duration_s=duration_s, faults=slowdown,
-        admit_deadline=False, hedge_quantile=0.95)).run()
+        admission="none", hedge_quantile=0.95)).run()
     rows.append(_row("slowdown", plain.summary()))
     rows.append(_row("slowdown-hedged", hedged.summary()))
 

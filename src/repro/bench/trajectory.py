@@ -30,8 +30,8 @@ from ..latency.runtime import SimulatedRuntime
 from ..obs import (Aggregator, QuantileSketch, TelemetryBus, TickClock,
                    Tracer, use_telemetry, use_tracer)
 from ..rng import make_rng
-from ..serving import (ClusterConfig, ClusterSimulator, ServingConfig,
-                       ServingSimulator, default_chaos_faults)
+from ..serving import (ClusterConfig, ClusterSimulator, ReplicaSpec,
+                       default_chaos_faults)
 
 SCHEMA_VERSION = 1
 DEFAULT_OUT_DIR = "bench_trajectory"
@@ -48,9 +48,9 @@ LATENCY_PROBES: Tuple[Tuple[str, str], ...] = (
     ("yolov11-m", "rtx4090"),
 )
 
-#: Serving probes: the dynamic-batching simulator at 2x overload with
+#: Serving probes: one dynamic-batching server at 2x overload with
 #: predictive shedding (admitted-request e2e latency, p99-gated) and a
-#: saturated fixed-batch run whose per-frame execution time is the
+#: saturated run of full batches whose per-frame execution time is the
 #: inverse of serving throughput — so a throughput regression trips the
 #: p99 gate from the correct direction.
 SERVING_MODEL = "yolov8-m"
@@ -179,9 +179,10 @@ def run_suite(n_frames: int = 150, fleet_drones: int = 8,
 
     # Serving probe 1: 2x overload with predictive shedding — the
     # admitted-request latency tail the deadline SLO is judged on.
-    shed = ServingSimulator(ServingConfig(
-        model=SERVING_MODEL, device=SERVING_DEVICE,
-        num_streams=SERVING_OVERLOAD_STREAMS, policy="full",
+    shed = ClusterSimulator(ClusterConfig(
+        replicas=(ReplicaSpec(model=SERVING_MODEL,
+                              device=SERVING_DEVICE),),
+        num_streams=SERVING_OVERLOAD_STREAMS, admission="full",
         duration_s=fleet_duration_s)).run()
     sketch = QuantileSketch()
     for v in shed.latencies_ms:
@@ -189,17 +190,18 @@ def run_suite(n_frames: int = 150, fleet_drones: int = 8,
     suite[f"serving/e2e@{SERVING_OVERLOAD_STREAMS}x-full"] = \
         sketch.snapshot()
 
-    # Serving probe 2: saturated fixed-batch per-frame execution time
+    # Serving probe 2: saturated full-batch per-frame execution time
     # (ms/frame = 1000 / throughput), one observation per batch.
-    sim = ServingSimulator(ServingConfig(
-        model=SERVING_MODEL, device=SERVING_DEVICE,
-        num_streams=16, policy="none",
-        fixed_batch=SERVING_FIXED_BATCH, queue_capacity=512,
+    sim = ClusterSimulator(ClusterConfig(
+        replicas=(ReplicaSpec(model=SERVING_MODEL,
+                              device=SERVING_DEVICE, queue_capacity=512,
+                              max_batch=SERVING_FIXED_BATCH),),
+        num_streams=16, admission="none",
         duration_s=fleet_duration_s))
-    fixed = sim.run()
+    saturated = sim.run()
     sketch = QuantileSketch()
-    for b in fixed.batch_sizes:
-        sketch.observe(sim.batch_latency_ms(b) / b)
+    for b in saturated.batch_sizes:
+        sketch.observe(sim.batch_latency_ms(0, b) / b)
     suite[f"serving/per_frame@b{SERVING_FIXED_BATCH}"] = \
         sketch.snapshot()
 

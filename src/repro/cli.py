@@ -25,11 +25,12 @@ Commands:
   ``BENCH_<label>.json`` trajectory point and fail on p99 regression
   against the previous point;
 * ``serve-sim`` — run the dynamic-batching serving simulator
-  (``repro.serving``) for one workload/policy and print the report:
-  admission/shedding breakdown, latency percentiles vs the deadline,
-  batch-size profile, and the cross-check against the analytic
-  ``BatchingModel``; ``--check`` fails the process when invariants or
-  the shedding SLO do not hold (the CI smoke mode);
+  (``repro.serving``) for one workload/policy — one server, a replica
+  pool (optionally under the chaos ladder), or a sharded fleet — and
+  print the report: admission/shedding breakdown, latency percentiles
+  vs the deadline, batch-size profile and per-frame execution time;
+  ``--check`` fails the process when invariants or the shedding SLO
+  do not hold (the CI smoke mode);
 * ``lint`` — reprolint: AST-based determinism rules (wall-clock,
   ambient RNG, unsorted iteration, mutable defaults, swallowed
   exceptions) plus repo-contract rules (experiment↔golden↔docs
@@ -327,72 +328,20 @@ def _cmd_bench_track(args) -> int:
 
 
 def _cmd_serve_sim(args) -> int:
-    from .hardware.registry import device_spec
-    from .latency.batching import BatchingModel
-    from .models.spec import model_spec
-    from .serving import ServingConfig, ServingSimulator
     if args.cells or args.shards > 1 or args.autoscale:
+        if args.policy is not None:
+            print("error: --policy does not apply to fleet mode "
+                  "(cells always screen deadlines)", file=sys.stderr)
+            return 2
         return _serve_sim_fleet(args)
-    if args.replica or args.replicas > 1 or args.chaos:
-        return _serve_sim_cluster(args)
-    cfg = ServingConfig(
-        model=args.model, device=args.device,
-        num_streams=args.streams, frame_rate=args.rate,
-        duration_s=args.duration, deadline_ms=args.deadline_ms,
-        queue_capacity=args.queue_capacity, max_batch=args.max_batch,
-        fixed_batch=args.fixed_batch, policy=args.policy,
-        arrival_jitter_ms=args.jitter_ms, seed=args.seed)
-    sim = ServingSimulator(cfg)
-    rep = sim.run()
-    print(f"{cfg.model} on {cfg.device} — {cfg.num_streams} streams "
-          f"x {cfg.frame_rate:g} fps ({cfg.offered_rps:g} rps "
-          f"offered), policy={rep.policy}")
-    print(f"  deadline       : {rep.deadline_ms:8.2f} ms "
-          f"(max batch {rep.max_batch})")
-    print(f"  generated      : {rep.generated:8d}")
-    shed_parts = " ".join(f"{k}={v}" for k, v in
-                          sorted(rep.shed.items()) if v)
-    print(f"  admitted       : {rep.admitted:8d} "
-          f"({100.0 * rep.admitted_fraction:.1f}%)"
-          + (f"  shed: {shed_parts}" if shed_parts else ""))
-    print(f"  completed      : {rep.completed:8d} "
-          f"({rep.violations} past deadline, "
-          f"rate {rep.violation_rate:.4f})")
-    print(f"  latency        : p50 {rep.p50_ms:8.2f} ms   "
-          f"p99 {rep.p99_ms:8.2f} ms")
-    print(f"  throughput     : {rep.throughput_fps:8.1f} fps "
-          f"(utilisation {100.0 * rep.utilisation:.1f}%)")
-    print(f"  mean batch     : {rep.mean_batch:8.2f} frames "
-          f"over {len(rep.batch_sizes)} batches")
-    point = BatchingModel().batch_point(
-        model_spec(cfg.model), device_spec(cfg.device),
-        max(1, round(rep.mean_batch)))
-    print(f"  exec per frame : {rep.exec_per_frame_ms:8.2f} ms "
-          f"(BatchingModel @ b={point.batch}: "
-          f"{point.per_frame_ms:.2f} ms)")
-    if args.check:
-        from .serving import AdmissionPolicy
-        failures = []
-        if not rep.conservation_holds():
-            failures.append("request conservation violated")
-        if cfg.policy in (AdmissionPolicy.DEADLINE,
-                          AdmissionPolicy.FULL) \
-                and rep.violation_rate >= 0.01:
-            failures.append(
-                f"shedding violation rate {rep.violation_rate:.4f} "
-                f">= 0.01")
-        if failures:
-            for f in failures:
-                print(f"CHECK FAILED: {f}", file=sys.stderr)
-            return 1
-        print("checks passed")
-    return 0
+    return _serve_sim_cluster(args)
 
 
 def _serve_sim_cluster(args) -> int:
     import json as _json
 
-    from .serving import (ClusterConfig, ClusterSimulator, ReplicaSpec,
+    from .serving import (AdmissionPolicy, ClusterConfig,
+                          ClusterSimulator, ReplicaSpec,
                           default_chaos_faults)
     if args.replica:
         specs = []
@@ -415,11 +364,15 @@ def _serve_sim_cluster(args) -> int:
             for _ in range(args.replicas))
     faults = default_chaos_faults(args.duration, len(replicas)) \
         if args.chaos else ()
+    policy = args.policy
+    if policy is None:
+        pooled = bool(args.replica) or args.replicas > 1 or args.chaos
+        policy = "deadline" if pooled else "full"
     cfg = ClusterConfig(
         replicas=replicas, num_streams=args.streams,
         frame_rate=args.rate, duration_s=args.duration,
         deadline_ms=args.deadline_ms, router=args.router,
-        max_retries=args.retries,
+        admission=policy, max_retries=args.retries,
         hedge_quantile=args.hedge_quantile, faults=faults,
         arrival_jitter_ms=args.jitter_ms, seed=args.seed)
     rep = ClusterSimulator(cfg).run()
@@ -428,7 +381,7 @@ def _serve_sim_cluster(args) -> int:
                      for i, label in enumerate(s["replicas"]))
     print(f"cluster [{pool}] — {cfg.num_streams} streams x "
           f"{cfg.frame_rate:g} fps ({cfg.offered_rps:g} rps), "
-          f"router={s['router']}"
+          f"router={s['router']}, admission={cfg.admission.value}"
           + (", chaos ladder on" if args.chaos else ""))
     shed_parts = " ".join(f"{k}={v}" for k, v in
                           sorted(rep.shed.items()) if v)
@@ -444,6 +397,9 @@ def _serve_sim_cluster(args) -> int:
           f"p99 {rep.p99_ms:8.2f} ms")
     print(f"  goodput        : {rep.goodput_fps:8.1f} fps "
           f"(throughput {rep.throughput_fps:.1f} fps)")
+    print(f"  mean batch     : {rep.mean_batch:8.2f} frames "
+          f"over {len(rep.batch_sizes)} batches")
+    print(f"  exec per frame : {rep.exec_per_frame_ms:8.2f} ms")
     avail = " ".join(f"r{r}={rep.availability(r):.4f}"
                      for r in range(len(cfg.replicas)))
     print(f"  availability   : {avail}")
@@ -469,6 +425,12 @@ def _serve_sim_cluster(args) -> int:
         if rep.lost_requests:
             failures.append(
                 f"{rep.lost_requests} admitted requests lost")
+        if cfg.admission in (AdmissionPolicy.DEADLINE,
+                             AdmissionPolicy.FULL) \
+                and rep.violation_rate >= 0.01:
+            failures.append(
+                f"shedding violation rate {rep.violation_rate:.4f} "
+                f">= 0.01")
         if failures:
             for f in failures:
                 print(f"CHECK FAILED: {f}", file=sys.stderr)
@@ -769,14 +731,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--deadline-ms", type=float, default=None,
                          help="per-request deadline "
                               "(default: one frame period)")
-    serve_p.add_argument("--policy", default="full",
+    serve_p.add_argument("--policy", default=None,
                          choices=["none", "deadline", "slo", "full"],
-                         help="admission policy (default full)")
+                         help="admission policy (default full for one "
+                              "replica, deadline for a pool or "
+                              "--chaos; not accepted in fleet mode)")
     serve_p.add_argument("--max-batch", type=int, default=None,
                          help="batch-size cap (default: auto via "
                               "BatchingModel)")
-    serve_p.add_argument("--fixed-batch", type=int, default=None,
-                         help="force every batch to exactly this size")
     serve_p.add_argument("--queue-capacity", type=int, default=256,
                          help="bounded queue capacity")
     serve_p.add_argument("--jitter-ms", type=float, default=0.0,
@@ -784,8 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--seed", type=int, default=None,
                          help="seed for the jitter stream")
     serve_p.add_argument("--replicas", type=int, default=1,
-                         help="replica count; >1 runs the "
-                              "fault-tolerant cluster simulator")
+                         help="replica count (default 1)")
     serve_p.add_argument("--replica", action="append", default=None,
                          metavar="MODEL@DEVICE",
                          help="explicit heterogeneous replica (repeat "

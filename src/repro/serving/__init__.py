@@ -3,19 +3,17 @@
 The serving regime the paper's edge-cloud discussion implies — many
 drone streams sharing one workstation GPU through a deadline-aware
 dynamic micro-batcher — executed as a deterministic discrete-event
-simulation.  See :mod:`repro.serving.simulator` for the single-server
-event loop, :mod:`repro.serving.batcher` for the batching policy,
+simulation.  See :mod:`repro.serving.cluster` for the one event loop
+(one server is a one-replica pool; more replicas add failover routing
+with retry/hedging, and the loop is checkpoint/restorable),
+:mod:`repro.serving.batcher` for the batching policy,
 :mod:`repro.serving.admission` for backpressure + SLO-burn shedding,
-and :mod:`repro.serving.cluster` for the fault-tolerant replicated
-tier (replica pools, failover routing with retry/hedging, and
-checkpoint/restore).
+and :mod:`repro.serving.fleet` for cell-sharded, autoscaled fleets.
 """
 
-from .request import Request, ShedReason, generate_arrivals
+from .request import Request, generate_arrivals
 from .batcher import MicroBatcher
-from .admission import (AdmissionController, AdmissionPolicy,
-                        serving_slo_policy)
-from .simulator import ServingConfig, ServingReport, ServingSimulator
+from .admission import AdmissionPolicy, serving_slo_policy
 from .cluster import (ClusterConfig, ClusterReport, ClusterSimulator,
                       ReplicaSpec, RouterPolicy, default_chaos_faults)
 from .fleet import (AutoscalePolicy, Autoscaler, FleetReport,
@@ -24,10 +22,9 @@ from .fleet import (AutoscalePolicy, Autoscaler, FleetReport,
                     stream_cell)
 
 __all__ = [
-    "Request", "ShedReason", "generate_arrivals",
+    "Request", "generate_arrivals",
     "MicroBatcher",
-    "AdmissionController", "AdmissionPolicy", "serving_slo_policy",
-    "ServingConfig", "ServingReport", "ServingSimulator",
+    "AdmissionPolicy", "serving_slo_policy",
     "ClusterConfig", "ClusterReport", "ClusterSimulator",
     "ReplicaSpec", "RouterPolicy", "default_chaos_faults",
     "AutoscalePolicy", "Autoscaler", "FleetReport", "FleetSimConfig",

@@ -1,34 +1,32 @@
-"""Admission control: backpressure, deadline screening, SLO burn shedding.
+"""Admission policies: backpressure, deadline screening, SLO burn shedding.
 
-Three lines of defence between the drone streams and the batcher queue,
-each of which can be switched off independently (the experiment's
-ablation axis):
+Three lines of defence between the drone streams and the batcher
+queues, applied at the door by
+:class:`~repro.serving.cluster.ClusterSimulator`; the last two can be
+switched off independently (the experiment's ablation axis):
 
 * **backpressure** — a full bounded queue rejects unconditionally;
   admitting a request that cannot even be buffered just converts it
   into a guaranteed deadline violation later;
-* **deadline screening** (``AdmissionPolicy.DEADLINE``) — a request
-  whose *predicted* completion (queue ahead of it + its batch's
-  execution) already misses its deadline is shed at the door, Clipper
-  / MArk style, keeping the queue's work feasible;
+* **deadline screening** (``AdmissionPolicy.DEADLINE``, the cluster
+  default) — a request whose *predicted* completion on the chosen
+  replica (queue ahead of it + its batch's execution) already misses
+  its deadline is shed at the door, Clipper / MArk style, keeping the
+  queue's work feasible;
 * **burn shedding** (``AdmissionPolicy.SLO``) — a
   :class:`repro.obs.slo.SloTracker` watches completed-request latency
   on the injected clock; while its fast+slow burn windows are both
   tripping, incoming requests are shed outright until the burn clears
   — the SRE-style emergency valve that needs no latency model at all.
 
-``AdmissionPolicy.FULL`` (default) stacks all three.
+``AdmissionPolicy.FULL`` stacks all three.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, Tuple
 
-from ..errors import BenchmarkError
-from ..obs.slo import BurnWindow, SloObjective, SloPolicy, SloTracker
-from .batcher import MicroBatcher
-from .request import Request, ShedReason
+from ..obs.slo import BurnWindow, SloObjective, SloPolicy
 
 
 class AdmissionPolicy(enum.Enum):
@@ -54,60 +52,3 @@ def serving_slo_policy(deadline_ms: float, target: float = 0.99,
                                  threshold_ms=deadline_ms),),
         fast=BurnWindow(fast_s, 10.0),
         slow=BurnWindow(slow_s, 2.0))
-
-
-class AdmissionController:
-    """Decides admit/shed per arriving request and tracks SLO burn.
-
-    ``predicted_done_ms`` comes from the simulator (it knows the server
-    timeline); the controller owns the policy logic and the burn-rate
-    state so the decision rule is testable in isolation.
-    """
-
-    def __init__(self, policy: AdmissionPolicy,
-                 batcher: MicroBatcher,
-                 deadline_ms: float,
-                 slo_policy: Optional[SloPolicy] = None) -> None:
-        if deadline_ms <= 0:
-            raise BenchmarkError("deadline must be positive")
-        self.policy = policy
-        self.batcher = batcher
-        self.deadline_ms = float(deadline_ms)
-        self.tracker = SloTracker(slo_policy if slo_policy is not None
-                                  else serving_slo_policy(deadline_ms))
-        self.shed_counts = {reason: 0 for reason in ShedReason}
-
-    # -- completion feedback -------------------------------------------------
-
-    def observe_completion(self, latency_ms: float,
-                           now_ms: float) -> None:
-        """Feed one completed request's latency into the burn windows."""
-        self.tracker.record_latency(latency_ms, now_ms / 1000.0)
-
-    def burning(self, now_ms: float) -> bool:
-        return self.tracker.status(now_ms / 1000.0).burning
-
-    # -- the decision --------------------------------------------------------
-
-    def admit(self, request: Request, predicted_done_ms: float,
-              now_ms: float) -> Tuple[bool, Optional[ShedReason]]:
-        """Admit or shed ``request``; sheds are tallied by reason."""
-        if self.batcher.full:
-            return self._shed(ShedReason.QUEUE_FULL)
-        if self.policy in (AdmissionPolicy.SLO, AdmissionPolicy.FULL) \
-                and self.burning(now_ms):
-            return self._shed(ShedReason.SLO_BURN)
-        if self.policy in (AdmissionPolicy.DEADLINE,
-                           AdmissionPolicy.FULL) \
-                and predicted_done_ms > request.deadline_ms:
-            return self._shed(ShedReason.DEADLINE)
-        return True, None
-
-    def _shed(self, reason: ShedReason
-              ) -> Tuple[bool, Optional[ShedReason]]:
-        self.shed_counts[reason] += 1
-        return False, reason
-
-    @property
-    def total_shed(self) -> int:
-        return sum(self.shed_counts.values())

@@ -33,28 +33,20 @@ class MicroBatcher:
     """Bounded FIFO of pending requests with dynamic batch closing.
 
     ``max_batch`` caps batch size (chosen by the caller, typically via
-    ``BatchingModel.best_batch_under_deadline``); ``fixed_batch`` forces
-    every batch to exactly that size until the stream drains (used for
-    cross-validating the simulator against the analytic model);
-    ``capacity`` bounds total pending requests — the backpressure
+    ``BatchingModel.best_batch_under_deadline``); ``capacity`` bounds total pending requests — the backpressure
     signal admission control reads.
     """
 
     def __init__(self, max_batch: int,
                  batch_latency_ms: Callable[[int], float],
-                 capacity: int = 256,
-                 fixed_batch: Optional[int] = None) -> None:
+                 capacity: int = 256) -> None:
         if max_batch < 1:
             raise BenchmarkError(f"max_batch must be >= 1, got {max_batch}")
         if capacity < max_batch:
             raise BenchmarkError(
                 f"queue capacity {capacity} below max_batch {max_batch}")
-        if fixed_batch is not None and not 1 <= fixed_batch <= max_batch:
-            raise BenchmarkError(
-                f"fixed_batch {fixed_batch} outside [1, {max_batch}]")
         self.max_batch = int(max_batch)
         self.capacity = int(capacity)
-        self.fixed_batch = fixed_batch
         self._latency = batch_latency_ms
         self._streams: Dict[int, Deque[Request]] = {}
         self._rr: Deque[int] = deque()      # round-robin stream order
@@ -142,27 +134,18 @@ class MicroBatcher:
 
     # -- dispatch policy -----------------------------------------------------
 
-    def _target_size(self) -> int:
-        return self.fixed_batch if self.fixed_batch is not None \
-            else self.max_batch
-
     def next_dispatch_ms(self, now_ms: float,
                          draining: bool = False) -> float:
         """When the next batch must leave (``inf`` = no batch yet).
 
         ``now_ms`` when a full batch is waiting (or the workload is
         draining and anything is pending); otherwise the oldest
-        request's forced-dispatch time.  In fixed-batch mode partial
-        batches wait for the target size unless draining.
+        request's forced-dispatch time.
         """
         if self._pending == 0:
             return math.inf
-        if self._pending >= self._target_size():
+        if self._pending >= self.max_batch or draining:
             return now_ms
-        if draining:
-            return now_ms
-        if self.fixed_batch is not None:
-            return math.inf
         oldest = self.oldest()
         assert oldest is not None
         exec_ms = self._latency(min(self._pending, self.max_batch))
@@ -177,7 +160,7 @@ class MicroBatcher:
         """
         if self._pending == 0:
             raise BenchmarkError("take_batch on an empty batcher")
-        size = min(self._target_size(), self._pending)
+        size = min(self.max_batch, self._pending)
         batch: List[Request] = []
         while len(batch) < size:
             stream = self._rr[0]

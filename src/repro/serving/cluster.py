@@ -1,12 +1,17 @@
-"""Fault-tolerant replicated serving: replica pools + failover routing.
+"""The serving event loop: replica pools, admission, failover routing.
 
-The single-server simulator (:mod:`repro.serving.simulator`) proves
-out deadline-aware micro-batching; this module makes the serving tier
-survive the fault ladder.  A :class:`ReplicaPool` holds N heterogeneous
-servers (model × device per replica, resolved through the existing
-registries), each with its own :class:`~repro.serving.batcher.
-MicroBatcher` queue; a :class:`Router` with pluggable policies
-dispatches admitted requests and owns the recovery machinery:
+One discrete-event loop serves every regime.  A one-replica pool is
+the single workstation GPU amortising inference over dynamic batches
+from many drone streams; N heterogeneous replicas (model × device per
+replica, resolved through the existing registries) make the tier
+survive the fault ladder.  Each replica has its own
+:class:`~repro.serving.batcher.MicroBatcher` queue, batch execution
+latency comes from :meth:`repro.latency.batching.BatchingModel.
+batch_point`, and the door applies an
+:class:`~repro.serving.admission.AdmissionPolicy` (bounded queue,
+predictive deadline screening, SLO-burn shedding).  A router with
+pluggable policies dispatches admitted requests and owns the recovery
+machinery:
 
 * **per-request timeout** — the adaptive-envelope rule from
   :class:`repro.faults.guard.AdaptiveEnvelope` (``envelope × EWMA`` of
@@ -55,7 +60,7 @@ from ..obs import current_telemetry, current_tracer
 from ..obs.slo import SloPolicy, SloTracker
 from ..rng import make_rng
 from ..units import fps_to_period_ms
-from .admission import serving_slo_policy
+from .admission import AdmissionPolicy, serving_slo_policy
 from .batcher import MicroBatcher
 from .request import Request, generate_arrivals
 
@@ -67,7 +72,8 @@ _INF = float("inf")
 #: the scaled pool, not the config's initial one.
 SNAPSHOT_SCHEMA = 2
 
-#: Shed/loss reasons tallied by the cluster router.
+#: Shed/loss reasons tallied by the cluster router.  Burn-shedding
+#: admission policies add ``slo_burn`` to the report's tally.
 SHED_REASONS = ("queue_full", "deadline", "no_replica",
                 "retries_exhausted")
 
@@ -117,9 +123,9 @@ class ClusterConfig:
     deadline_slack: float = 1.0
     batch_budget_fraction: float = 0.5
     router: RouterPolicy = RouterPolicy.LEAST_LOADED
-    #: Predictive deadline screening at the door (sheds requests whose
-    #: predicted completion on the chosen replica already misses).
-    admit_deadline: bool = True
+    #: Door policy on top of the bounded queues: predictive deadline
+    #: screening on the chosen replica, SLO-burn shedding, or both.
+    admission: AdmissionPolicy = AdmissionPolicy.DEADLINE
     #: Re-dispatch budget per request (crash requeues + timeouts).
     max_retries: int = 4
     backoff_base_ms: float = 2.0
@@ -141,6 +147,9 @@ class ClusterConfig:
         if isinstance(self.router, str):
             object.__setattr__(self, "router",
                                RouterPolicy(self.router))
+        if isinstance(self.admission, str):
+            object.__setattr__(self, "admission",
+                               AdmissionPolicy(self.admission))
         replicas = tuple(self.replicas)
         object.__setattr__(self, "replicas", replicas)
         faults = tuple(self.faults)
@@ -287,6 +296,19 @@ class ClusterReport:
         return 1000.0 * (self.completed - self.violations) \
             / self.makespan_ms
 
+    @property
+    def mean_batch(self) -> float:
+        if not self.batch_sizes:
+            return 0.0
+        return float(np.mean(self.batch_sizes))
+
+    @property
+    def exec_per_frame_ms(self) -> float:
+        """Measured mean batch-execution time per frame (no queueing)."""
+        frames = sum(self.batch_sizes)
+        return sum(self.replica_busy_ms.values()) / frames \
+            if frames else 0.0
+
     def latency_quantile(self, q: float) -> float:
         if not self.latencies_ms:
             return float("nan")
@@ -420,6 +442,13 @@ class ClusterSimulator:
             envelope=cfg.timeout_envelope,
             floor_ms=cfg.timeout_floor_deadlines * self.deadline_ms)
         self._rng = make_rng(cfg.seed, "serving", "downtime")
+        self._screens = cfg.admission in (AdmissionPolicy.DEADLINE,
+                                          AdmissionPolicy.FULL)
+        #: Burn-rate state fed by completions (burn-shedding policies).
+        self._slo: Optional[SloTracker] = SloTracker(
+            serving_slo_policy(self.deadline_ms)) \
+            if cfg.admission in (AdmissionPolicy.SLO,
+                                 AdmissionPolicy.FULL) else None
         if arrivals is None:
             self._arrivals = generate_arrivals(
                 cfg.num_streams, cfg.frame_rate, cfg.duration_s,
@@ -595,6 +624,8 @@ class ClusterSimulator:
             replicas=[r.label for r in self._live_specs],
             deadline_ms=self.deadline_ms)
         report.generated = len(self._arrivals)
+        if self._slo is not None:
+            report.shed["slo_burn"] = 0
         for stream in self._stream_ids:
             report.per_stream_completed[stream] = 0
             report.per_stream_shed[stream] = 0
@@ -710,8 +741,7 @@ class ClusterSimulator:
         report = self._s["report"]
         meta["reroutes"] += 1
         if meta["reroutes"] > self.config.max_retries:
-            report.shed["retries_exhausted"] += 1
-            report.per_stream_shed[req.stream] += 1
+            self._shed(req, "retries_exhausted")
             del self._s["meta"][(req.stream, req.seq)]
             return
         backoff = self.config.backoff_base_ms \
@@ -762,8 +792,7 @@ class ClusterSimulator:
             consider(first[0], _P_RETRY, key=(first[1], first[2]))
         if s["arr_i"] < len(self._arrivals):
             consider(self._arrivals[s["arr_i"]].arrival_ms, _P_ARRIVAL)
-        for key in sorted(s["meta"]):
-            m = s["meta"][key]
+        for key, m in s["meta"].items():
             if m["timeout_at"] is not None:
                 consider(m["timeout_at"], _P_TIMEOUT, key=key)
             if m["hedge_at"] is not None:
@@ -848,6 +877,8 @@ class ClusterSimulator:
             if won_hedge:
                 report.hedge_wins += 1
             self._envelope.observe(e2e)
+            if self._slo is not None:
+                self._slo.record_latency(e2e, t / 1000.0)
             if meta["crash_event"] is not None:
                 ev = s["crash_events"][meta["crash_event"]]
                 ev["last_done"] = t if ev["last_done"] is None \
@@ -932,15 +963,17 @@ class ClusterSimulator:
                 and not self._s["replicas"][r]["retiring"]
                 and not self.faults.partitioned(r, t)
                 for r in range(len(self._live_specs)))
-            reason = "queue_full" if any_up else "no_replica"
-            report.shed[reason] += 1
-            report.per_stream_shed[req.stream] += 1
+            self._shed(req, "queue_full" if any_up else "no_replica")
             return
         target = self._choose(routable, t)
-        if self.config.admit_deadline \
+        self._close_if_late(target, t)
+        if self._slo is not None \
+                and self._slo.status(t / 1000.0).burning:
+            self._shed(req, "slo_burn")
+            return
+        if self._screens \
                 and self.predicted_done_ms(target, t) > req.deadline_ms:
-            report.shed["deadline"] += 1
-            report.per_stream_shed[req.stream] += 1
+            self._shed(req, "deadline")
             return
         report.admitted += 1
         meta = {"request": req, "locations": [], "reroutes": 0,
@@ -948,6 +981,26 @@ class ClusterSimulator:
                 "crash_event": None}
         s["meta"][(req.stream, req.seq)] = meta
         self._place(req, meta, target, t)
+
+    def _shed(self, req: Request, reason: str) -> None:
+        report = self._s["report"]
+        report.shed[reason] += 1
+        report.per_stream_shed[req.stream] += 1
+
+    def _close_if_late(self, replica: int, t: float) -> None:
+        """Dispatch ``replica``'s pending batch now when letting one
+        more request join would push its oldest request past its
+        deadline (the batcher's slack check, *including* the
+        newcomer).  ``replica`` is routable, hence up."""
+        rep = self._s["replicas"][replica]
+        batcher = rep["batcher"]
+        if rep["in_flight"] is not None or not batcher.pending:
+            return
+        oldest = batcher.oldest()
+        assert oldest is not None
+        grown = min(batcher.pending + 1, self.max_batch[replica])
+        if oldest.deadline_ms - self.batch_latency_ms(replica, grown) < t:
+            self._on_dispatch(t, replica, (-1, -1))
 
     def _on_timeout(self, t: float, _replica: int,
                     key: Tuple[int, int]) -> None:
@@ -1161,6 +1214,12 @@ class ClusterSimulator:
             report_fields[name] = {
                 int(k): v for k, v in report_fields[name].items()}
         report = ClusterReport(**report_fields)
+        if sim._slo is not None:
+            # The burn windows are a pure function of the completions
+            # fed so far, in completion order.
+            for e2e, done in zip(report.latencies_ms,
+                                 report.completion_ms):
+                sim._slo.record_latency(e2e, done / 1000.0)
         sim._s = {
             "now": snap["now"],
             "arr_i": snap["arr_i"],

@@ -141,7 +141,6 @@ class FleetSimConfig:
     deadline_ms: Optional[float] = None
     deadline_slack: float = 1.0
     router: RouterPolicy = RouterPolicy.LEAST_LOADED
-    admit_deadline: bool = True
     max_retries: int = 4
     arrival_jitter_ms: float = 0.0
     ramp: Tuple[float, ...] = (1.0,)
@@ -252,7 +251,6 @@ def cluster_config_for_cell(cfg: FleetSimConfig,
         duration_s=cfg.duration_s,
         deadline_ms=cfg.resolved_deadline_ms,
         router=cfg.router,
-        admit_deadline=cfg.admit_deadline,
         max_retries=cfg.max_retries,
         faults=plan.get(cell, ()),
         seed=_cell_seed(cfg, cell))

@@ -1,4 +1,4 @@
-"""Requests and per-drone request streams for the serving simulator.
+"""Requests and per-drone request streams for the serving event loop.
 
 A :class:`Request` is one frame shipped from one drone stream to the
 workstation: it carries its generation time and the absolute deadline
@@ -13,21 +13,12 @@ optional per-segment rate ramp, with the same bits.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import BenchmarkError
 from ..rng import make_rng
 from ..units import fps_to_period_ms
-
-
-class ShedReason(enum.Enum):
-    """Why admission control turned a request away."""
-
-    QUEUE_FULL = "queue_full"        # bounded queue backpressure
-    DEADLINE = "deadline"            # predicted completion past deadline
-    SLO_BURN = "slo_burn"            # burn-rate-driven load shedding
 
 
 @dataclass(frozen=True)

@@ -244,7 +244,8 @@ class TestCommittedBaseline:
         doc = profiler.load_profile(
             os.path.join(REPO_ROOT, profiler.DEFAULT_BASELINE_PATH))
         paths = list(doc["paths"])
-        for needle in ("serving.dispatch", "fleet.merge",
+        for needle in ("exp_serving/cluster.loop/cluster.on_dispatch",
+                       "fleet.merge",
                        "render.scene", "nn.im2col",
                        "nn_e2e.unfused", "nn_e2e.fused",
                        "layer.fused_convbnact"):

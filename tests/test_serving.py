@@ -1,4 +1,10 @@
-"""Tests for the dynamic-batching serving simulator (repro.serving)."""
+"""Tests for dynamic-batching serving on one server (repro.serving).
+
+One workstation GPU is a one-replica
+:class:`~repro.serving.cluster.ClusterSimulator`; these tests pin its
+request streams, batching, admission policies, invariants, and the
+cross-validation against the analytic ``BatchingModel``.
+"""
 
 import json
 
@@ -11,24 +17,36 @@ from repro.latency.batching import BatchingModel
 from repro.models.spec import model_spec
 from repro.obs import TelemetryBus, use_telemetry
 from repro.rng import make_rng
-from repro.serving import (AdmissionController, AdmissionPolicy,
-                           MicroBatcher, Request, ServingConfig,
-                           ServingReport, ServingSimulator, ShedReason,
-                           generate_arrivals, serving_slo_policy)
+from repro.serving import (AdmissionPolicy, ClusterConfig, ClusterReport,
+                           ClusterSimulator, MicroBatcher, ReplicaSpec,
+                           Request, generate_arrivals,
+                           serving_slo_policy)
 from repro.serving.request import schedule_arrivals
 
-OVERLOAD = ServingConfig(num_streams=32, policy="full")
-NOSHED_OVERLOAD = ServingConfig(num_streams=32, policy="none")
+_SPEC_FIELDS = ("model", "device", "queue_capacity", "max_batch")
+
+
+def one_server(**kwargs) -> ClusterConfig:
+    """A one-replica pool: replica fields go to its ReplicaSpec."""
+    spec = ReplicaSpec(**{k: kwargs.pop(k) for k in _SPEC_FIELDS
+                          if k in kwargs})
+    return ClusterConfig(replicas=(spec,), **kwargs)
+
+
+OVERLOAD = one_server(num_streams=32, admission="full")
+NOSHED_OVERLOAD = one_server(num_streams=32, admission="none")
+SATURATED_B8 = one_server(num_streams=16, admission="none",
+                          max_batch=8, queue_capacity=512)
 
 
 @pytest.fixture(scope="module")
 def overload_report():
-    return ServingSimulator(OVERLOAD).run()
+    return ClusterSimulator(OVERLOAD).run()
 
 
 @pytest.fixture(scope="module")
 def noshed_report():
-    return ServingSimulator(NOSHED_OVERLOAD).run()
+    return ClusterSimulator(NOSHED_OVERLOAD).run()
 
 
 class TestRequestStreams:
@@ -109,12 +127,6 @@ class TestMicroBatcher:
         # One pending request, exec 10 ms: must leave by t=90.
         assert b.next_dispatch_ms(0.0) == pytest.approx(90.0)
 
-    def test_fixed_batch_waits_unless_draining(self):
-        b = self._batcher(fixed_batch=3)
-        b.push(self._req(0, 0, 0.0))
-        assert b.next_dispatch_ms(0.0) == float("inf")
-        assert b.next_dispatch_ms(0.0, draining=True) == 0.0
-
     def test_capacity_and_validation(self):
         b = MicroBatcher(2, lambda b: 1.0, capacity=2)
         b.push(self._req(0, 0, 0.0))
@@ -127,52 +139,48 @@ class TestMicroBatcher:
         with pytest.raises(BenchmarkError):
             MicroBatcher(4, lambda b: 1.0, capacity=2)
         with pytest.raises(BenchmarkError):
-            MicroBatcher(4, lambda b: 1.0, fixed_batch=8)
-        with pytest.raises(BenchmarkError):
             self._batcher().take_batch()
 
 
 class TestAdmission:
-    def _controller(self, policy):
-        batcher = MicroBatcher(4, lambda b: 10.0, capacity=8)
-        return AdmissionController(policy, batcher, 100.0), batcher
-
-    def _req(self, t=0.0):
-        return Request(stream=0, seq=0, arrival_ms=t,
-                       deadline_ms=t + 100.0)
-
-    def test_none_policy_only_bounds_queue(self):
-        ctrl, batcher = self._controller(AdmissionPolicy.NONE)
-        ok, reason = ctrl.admit(self._req(), 1e9, 0.0)
-        assert ok and reason is None
-        for i in range(8):
-            batcher.push(Request(stream=0, seq=i, arrival_ms=0.0,
-                                 deadline_ms=100.0))
-        ok, reason = ctrl.admit(self._req(), 0.0, 0.0)
-        assert not ok and reason is ShedReason.QUEUE_FULL
+    def test_none_policy_only_bounds_queue(self, noshed_report):
+        shed = noshed_report.shed
+        assert shed["queue_full"] > 0
+        assert sum(shed.values()) == shed["queue_full"]
+        assert "slo_burn" not in shed
 
     def test_deadline_screening(self):
-        ctrl, _ = self._controller(AdmissionPolicy.DEADLINE)
-        ok, _ = ctrl.admit(self._req(), 99.0, 0.0)
-        assert ok
-        ok, reason = ctrl.admit(self._req(), 101.0, 0.0)
-        assert not ok and reason is ShedReason.DEADLINE
-        assert ctrl.shed_counts[ShedReason.DEADLINE] == 1
+        rep = ClusterSimulator(one_server(
+            num_streams=32, admission="deadline", duration_s=4.0)).run()
+        assert rep.shed["deadline"] > 0
+        assert rep.violation_rate < 0.01
+        assert "slo_burn" not in rep.shed
 
     def test_burn_shedding_trips_and_clears(self):
-        ctrl, _ = self._controller(AdmissionPolicy.SLO)
-        # Saturate both burn windows with violations.
-        for i in range(200):
-            ctrl.observe_completion(500.0, float(i) * 5.0)
-        now = 200 * 5.0
-        assert ctrl.burning(now)
-        ok, reason = ctrl.admit(self._req(now), 0.0, now)
-        assert not ok and reason is ShedReason.SLO_BURN
-        # Far in the future both windows have rotated clean.
-        later = now + 60_000.0
-        assert not ctrl.burning(later)
-        ok, _ = ctrl.admit(self._req(later), 1e12, later)
-        assert ok  # SLO policy never screens on predictions
+        sim = ClusterSimulator(one_server(num_streams=32,
+                                          admission="slo"))
+        # Step the run in 250 ms windows: (admitted, burn-shed) deltas.
+        deltas, last = [], (0, 0)
+        for t in range(250, 10_250, 250):
+            sim.run(pause_at_ms=float(t))
+            rep = sim.live_report
+            now = (rep.admitted, rep.shed["slo_burn"])
+            deltas.append((now[0] - last[0], now[1] - last[1]))
+            last = now
+        tripped = [i for i, (_, burn) in enumerate(deltas) if burn]
+        assert tripped
+        # The burn clears again: admission resumes after the trip.
+        assert any(adm for adm, _ in deltas[tripped[0] + 1:])
+        rep = sim.resume()
+        assert rep.shed["deadline"] == 0  # SLO never screens
+        assert rep.conservation_holds()
+
+    def test_slo_burn_tallied_only_under_burn_policies(self):
+        for policy in AdmissionPolicy:
+            rep = ClusterSimulator(one_server(
+                num_streams=4, duration_s=1.0, admission=policy)).run()
+            burns = policy in (AdmissionPolicy.SLO, AdmissionPolicy.FULL)
+            assert ("slo_burn" in rep.shed) is burns
 
     def test_slo_policy_scaling(self):
         policy = serving_slo_policy(42.0)
@@ -196,11 +204,11 @@ class TestServingInvariants:
         assert min(counts) >= 0.5 * (sum(counts) / len(counts))
 
     def test_every_batch_fits_the_deadline_budget(self):
-        sim = ServingSimulator(OVERLOAD)
+        sim = ClusterSimulator(OVERLOAD)
         budget = sim.deadline_ms * OVERLOAD.batch_budget_fraction
-        assert sim.batch_latency_ms(sim.max_batch) <= budget
+        assert sim.batch_latency_ms(0, sim.max_batch[0]) <= budget
         rep = sim.run()
-        assert max(rep.batch_sizes) <= sim.max_batch
+        assert max(rep.batch_sizes) <= sim.max_batch[0]
 
     def test_shedder_holds_p99_under_deadline(self, overload_report,
                                               noshed_report):
@@ -217,64 +225,60 @@ class TestServingInvariants:
             0.95 * noshed_report.throughput_fps
 
     def test_rerun_is_byte_identical(self):
-        cfg = ServingConfig(num_streams=24, policy="full",
-                            arrival_jitter_ms=3.0, seed=1234,
-                            duration_s=4.0)
-        a = ServingSimulator(cfg).run()
-        b = ServingSimulator(cfg).run()
+        cfg = one_server(num_streams=24, admission="full",
+                         arrival_jitter_ms=3.0, seed=1234,
+                         duration_s=4.0)
+        a = ClusterSimulator(cfg).run()
+        b = ClusterSimulator(cfg).run()
         assert json.dumps(a.summary(), sort_keys=True) == \
             json.dumps(b.summary(), sort_keys=True)
         assert a.latencies_ms == b.latencies_ms
         assert a.batch_sizes == b.batch_sizes
 
     def test_low_load_violation_free(self):
-        rep = ServingSimulator(
-            ServingConfig(num_streams=4, policy="none")).run()
+        rep = ClusterSimulator(
+            one_server(num_streams=4, admission="none")).run()
         assert rep.violation_rate == 0.0
         assert rep.admitted_fraction == 1.0
 
 
 class TestBatchingModelCrossValidation:
-    def test_fixed_batch_matches_analytic_per_frame(self):
-        """Acceptance: simulated per-frame latency at a fixed batch
-        agrees with ``BatchingModel.batch_point`` within 1 %."""
-        cfg = ServingConfig(num_streams=16, policy="none",
-                            fixed_batch=8, queue_capacity=512)
-        rep = ServingSimulator(cfg).run()
+    def test_full_batches_match_analytic_per_frame(self):
+        """Acceptance: simulated per-frame latency with every batch at
+        the cap agrees with ``BatchingModel.batch_point`` within 1 %."""
+        rep = ClusterSimulator(SATURATED_B8).run()
         point = BatchingModel().batch_point(
-            model_spec(cfg.model), device_spec(cfg.device), 8)
+            model_spec("yolov8-m"), device_spec("rtx4090"), 8)
         assert rep.mean_batch == 8.0
         assert rep.exec_per_frame_ms == pytest.approx(
             point.per_frame_ms, rel=0.01)
 
     def test_saturated_throughput_tracks_analytic(self):
-        cfg = ServingConfig(num_streams=16, policy="none",
-                            fixed_batch=8, queue_capacity=512)
-        rep = ServingSimulator(cfg).run()
+        rep = ClusterSimulator(SATURATED_B8).run()
         point = BatchingModel().batch_point(
-            model_spec(cfg.model), device_spec(cfg.device), 8)
+            model_spec("yolov8-m"), device_spec("rtx4090"), 8)
         assert rep.throughput_fps == pytest.approx(
             point.throughput_fps, rel=0.02)
 
     def test_auto_max_batch_uses_batching_model(self):
-        sim = ServingSimulator(ServingConfig())
+        sim = ClusterSimulator(one_server())
         bm = BatchingModel()
         best, _ = bm.best_batch_under_deadline(
             "yolov8-m", "rtx4090",
             sim.deadline_ms * sim.config.batch_budget_fraction)
-        assert sim.max_batch == best
+        assert sim.max_batch == [best]
 
     def test_infeasible_budget_falls_back_to_singles(self):
-        sim = ServingSimulator(ServingConfig(
+        sim = ClusterSimulator(one_server(
             model="yolov8-x", device="xavier-nx", deadline_ms=10.0))
-        assert sim.max_batch == 1
+        assert sim.max_batch == [1]
 
 
 class TestServingTelemetry:
     def test_stage_sketches_reach_the_bus(self):
         bus = TelemetryBus()
         with use_telemetry(bus):
-            rep = ServingSimulator(ServingConfig(
+            rep = ClusterSimulator(one_server(
                 num_streams=6, duration_s=3.0)).run()
         stages = set(bus.stages())
         assert {"e2e", "queue", "batch", "exec"} <= stages
@@ -283,48 +287,50 @@ class TestServingTelemetry:
             for d in bus.devices()
             if bus.cumulative_sketch(d, "e2e") is not None)
         assert e2e == rep.completed
-        batch = bus.cumulative_sketch("server", "batch")
+        batch = bus.cumulative_sketch("replica-0", "batch")
         assert batch is not None
         assert batch.count == len(rep.batch_sizes)
 
     def test_null_bus_emits_nothing(self):
-        rep = ServingSimulator(ServingConfig(
+        rep = ClusterSimulator(one_server(
             num_streams=6, duration_s=3.0)).run()
         assert rep.completed > 0  # ran fine without a bus
 
 
-class TestServingConfigValidation:
+class TestServingValidation:
     def test_bad_parameters(self):
         with pytest.raises(BenchmarkError):
-            ServingConfig(num_streams=0)
+            one_server(num_streams=0)
         with pytest.raises(BenchmarkError):
-            ServingConfig(deadline_ms=-1.0)
+            one_server(deadline_ms=-1.0)
         with pytest.raises(BenchmarkError):
-            ServingConfig(batch_budget_fraction=0.0)
+            one_server(batch_budget_fraction=0.0)
         with pytest.raises(BenchmarkError):
-            ServingConfig(arrival_jitter_ms=-0.5)
+            one_server(arrival_jitter_ms=-0.5)
         with pytest.raises(ValueError):
-            ServingConfig(policy="warp-speed")
+            one_server(admission="warp-speed")
 
     def test_policy_string_coercion(self):
-        assert ServingConfig(policy="slo").policy is \
+        assert one_server(admission="slo").admission is \
             AdmissionPolicy.SLO
 
     def test_empty_report_guards(self):
         # An all-shed run violated nothing: rate is 0.0, not a crash.
-        rep = ServingReport(policy="full", model="m", device="d",
-                            deadline_ms=100.0, max_batch=8)
+        rep = ClusterReport(router="least-loaded",
+                            replicas=["m@d"], deadline_ms=100.0)
         assert rep.violation_rate == 0.0
+        assert rep.mean_batch == 0.0
+        assert rep.exec_per_frame_ms == 0.0
         assert rep.summary()["violation_rate"] == 0.0
 
     def test_all_shed_run_summarises(self):
         # Regression: queue_capacity=1 plus an infeasible deadline on
         # a slow device sheds every request; summary() must not raise.
-        cfg = ServingConfig(model="yolov8-x", device="xavier-nx",
-                            deadline_ms=10.0, queue_capacity=1,
-                            num_streams=8, duration_s=2.0,
-                            policy=AdmissionPolicy.DEADLINE, seed=3)
-        rep = ServingSimulator(cfg).run()
+        cfg = one_server(model="yolov8-x", device="xavier-nx",
+                         deadline_ms=10.0, queue_capacity=1,
+                         num_streams=8, duration_s=2.0,
+                         admission=AdmissionPolicy.DEADLINE, seed=3)
+        rep = ClusterSimulator(cfg).run()
         assert rep.completed == 0
         assert rep.total_shed == rep.generated
         out = rep.summary()
@@ -347,3 +353,18 @@ class TestServeSimCli:
 
     def test_serve_sim_bad_model_errors(self, capsys):
         assert main(["serve-sim", "--model", "resnet152"]) == 2
+
+    def test_serve_sim_policy_reaches_the_pool(self, capsys):
+        # An explicit --policy holds in pool mode: 'none' bounds the
+        # queues only, so overload sheds on queue_full, not deadline.
+        assert main(["serve-sim", "--replicas", "2", "--policy", "none",
+                     "--streams", "64", "--duration", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "admission=none" in out
+        assert "queue_full=" in out
+        assert "deadline=" not in out
+
+    def test_serve_sim_fleet_rejects_policy(self, capsys):
+        assert main(["serve-sim", "--cells", "2", "--duration", "1",
+                     "--policy", "full"]) == 2
+        assert "--policy" in capsys.readouterr().err

@@ -214,6 +214,18 @@ class TestBatcherFailoverSupport:
         assert mb2.state() == mb.state()
 
 
+class TestNominalDeadlines:
+    def test_fault_free_load_meets_every_deadline(self, nominal):
+        # A pending batch closes early when one more request would
+        # push its oldest request past the deadline, so a fault-free
+        # load within capacity is violation-free on 2 replicas and 1.
+        single = ClusterSimulator(ClusterConfig(
+            replicas=(ReplicaSpec(),), num_streams=4, seed=7)).run()
+        assert nominal.completed > 0 and single.completed > 0
+        assert nominal.violations == 0
+        assert single.violations == 0
+
+
 class TestChaosInvariants:
     def test_conservation_through_crash_requeue(self, chaos):
         assert chaos.replica_crashes[1] == 1
@@ -267,7 +279,8 @@ class TestChaosInvariants:
         faults = (FaultSpec(FaultKind.SERVER_SLOWDOWN, replica=0,
                             start_ms=1000.0, end_ms=8000.0,
                             magnitude=8.0),)
-        s = run_summary(faults=faults, admit_deadline=False)
+        s = run_summary(faults=faults, admission="none",
+                        num_streams=12)
         assert s["timeout_reroutes"] > 0
         assert s["lost_requests"] == 0
 
@@ -275,8 +288,8 @@ class TestChaosInvariants:
         faults = (FaultSpec(FaultKind.SERVER_SLOWDOWN, replica=0,
                             start_ms=2000.0, end_ms=6000.0,
                             magnitude=4.0),)
-        plain = run_summary(faults=faults, admit_deadline=False)
-        hedged = run_summary(faults=faults, admit_deadline=False,
+        plain = run_summary(faults=faults, admission="none")
+        hedged = run_summary(faults=faults, admission="none",
                              hedge_quantile=0.95)
         assert hedged["hedged"] > 0
         assert hedged["hedge_wins"] > 0
@@ -326,6 +339,25 @@ class TestCheckpointRestore:
         resumed = revived.resume()
         assert json.dumps(resumed.summary(), sort_keys=True) \
             == json.dumps(chaos.summary(), sort_keys=True)
+
+    def test_restore_keeps_burn_shedding_state(self):
+        # Burn shedding trips under a slowdown; pausing mid-burn must
+        # restore the SLO windows (replayed from the report) exactly.
+        slow = (FaultSpec(FaultKind.SERVER_SLOWDOWN, replica=0,
+                          start_ms=2000.0, end_ms=6000.0,
+                          magnitude=3.0),)
+        cfg = ClusterConfig(replicas=(ReplicaSpec(),), num_streams=8,
+                            admission="full", faults=slow, seed=7)
+        whole = ClusterSimulator(cfg).run()
+        sim = ClusterSimulator(cfg)
+        assert sim.run(pause_at_ms=2500.0) is None
+        assert 0 < sim.live_report.shed["slo_burn"] \
+            < whole.shed["slo_burn"]
+        blob = json.dumps(sim.snapshot(), sort_keys=True)
+        resumed = ClusterSimulator.restore(cfg, json.loads(blob)).resume()
+        assert json.dumps(resumed.summary(), sort_keys=True) \
+            == json.dumps(whole.summary(), sort_keys=True)
+        assert resumed.latencies_ms == whole.latencies_ms
 
     def test_snapshot_does_not_alias_live_state(self):
         cfg = ClusterConfig(seed=7, faults=CHAOS)

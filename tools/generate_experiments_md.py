@@ -87,19 +87,19 @@ than summarise them afterwards (see DESIGN.md, "Streaming telemetry"):
   files; CI compares every push against the committed
   ``BENCH_baseline.json`` and fails on a >10 % p99 regression.  The
   suite includes two serving probes — admitted-request e2e latency at
-  2× overload with predictive shedding, and the saturated fixed-batch
+  2× overload with predictive shedding, and the saturated full-batch
   per-frame execution time — so regressions in the batcher or the
   admission path trip the p99 gate too.
 
 * ``python -m repro serve-sim [--streams N --policy P --check]`` runs
   the dynamic-batching serving simulator (``repro.serving``,
-  ``exp_serving`` above) standalone and prints the full report —
-  admitted fraction, shed-by-reason counts, per-stream completion
-  spread, latency percentiles, batch-size distribution, and a live
-  cross-check of the measured per-frame execution time against
-  ``BatchingModel.batch_point``.  With ``--check`` it exits non-zero
-  if request conservation or the deadline SLO fails, which is how CI
-  smokes the serving path.
+  ``exp_serving`` above: one server is a one-replica
+  ``ClusterSimulator``) standalone and prints the full report —
+  admitted fraction, shed-by-reason counts, latency percentiles,
+  goodput, mean batch size, and the measured per-frame execution
+  time.  With ``--check`` it exits non-zero if request conservation
+  or the deadline SLO fails, which is how CI smokes the serving
+  path.
 """
 
 ORDER = ["table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4",
