@@ -12,9 +12,9 @@ cells of Jetson-class replica pools — through
 * **the partition admits parallelism** — the stable-hash cell
   partition is balanced enough that the work-balance speedup bound
   (total work over the largest cell's work) clears 3× at 4 cells.
-  (The wall-clock realisation of that bound lives in the bench-track
-  ``fleet/shard_wallclock`` probe, which is opt-in because wall-clock
-  is not golden-safe.)
+  (The wall-clock realisation of that bound is perfbench's
+  ``fleet.shard_speedup`` on the fleet_autoscale workload, because
+  wall-clock is not golden-safe.)
 * **autoscaling rides the ramp** — under a 3× square-wave load ramp
   the burn-rate autoscaler grows each cell's pool to the static-peak
   size for the peak and drains it afterwards without flapping,

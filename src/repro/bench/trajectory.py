@@ -70,19 +70,15 @@ CHAOS_SEED = 7
 #: count, so the probe never depends on worker scheduling).
 FLEET_CELLS = 4
 FLEET_STREAMS = 8
-#: Worker count for the opt-in wall-clock scaling probe.
-FLEET_WALLCLOCK_SHARDS = 4
 
 #: Mini-YOLO e2e forward probe: variant, per-frame reps.  The tick-clock
-#: probes are deterministic (span structure → tick counts) and gated;
-#: the wall-clock twins carry the fused-vs-unfused speedup evidence.
+#: probes are deterministic (span structure → tick counts) and gated.
 NN_E2E_FAMILY = "yolov8"
 NN_E2E_VARIANT = "n"
 NN_E2E_FRAMES = 3
-NN_E2E_WALLCLOCK_FRAMES = 12
 
 
-def _nn_forward_probes(wallclock: bool) -> Dict[str, dict]:
+def _nn_forward_probes() -> Dict[str, dict]:
     """Fused vs unfused mini-YOLO forward probes.
 
     The tick-clock probes measure span *structure* (one 1 ms quantum per
@@ -117,22 +113,6 @@ def _nn_forward_probes(wallclock: bool) -> Dict[str, dict]:
         out[f"nn/forward_e2e@{mode}"] = frame_sketch.snapshot()
         for lname, sk in sorted(per_layer.items()):
             out[f"nn/layer_{lname}@{mode}"] = sk.snapshot()
-    if wallclock:
-        from time import perf_counter
-        for mode in ("unfused", "fused"):
-            model = build_mini_yolo(NN_E2E_FAMILY, NN_E2E_VARIANT)
-            if mode == "fused":
-                model.fuse()
-            for _ in range(2):  # warm caches / arena before timing
-                model.forward(x, training=False)
-            sketch = QuantileSketch()
-            for _ in range(NN_E2E_WALLCLOCK_FRAMES):
-                # reprolint: disable=RL001 opt-in wall-clock probe, ungated
-                t0 = perf_counter()
-                model.forward(x, training=False)
-                # reprolint: disable=RL001 opt-in wall-clock probe, ungated
-                sketch.observe(1000.0 * (perf_counter() - t0))
-            out[f"nn/forward_e2e_wallclock@{mode}"] = sketch.snapshot()
     return out
 
 
@@ -146,17 +126,8 @@ def _fleet_sim_config(shards: int = 1):
 
 
 def run_suite(n_frames: int = 150, fleet_drones: int = 8,
-              fleet_duration_s: float = 5.0,
-              wallclock: bool = False) -> Dict[str, dict]:
-    """Run every probe; returns ``{probe name: sketch snapshot}``.
-
-    ``wallclock=True`` adds the fleet shard-scaling wall-clock probes
-    — real elapsed time, so they are **not** byte-identical between
-    runs and are never regression-gated (:func:`compare_points` skips
-    any probe named ``*wallclock*``); they exist so a trajectory can
-    carry evidence that sharding actually buys wall-clock time on the
-    machine that wrote the point.
-    """
+              fleet_duration_s: float = 5.0) -> Dict[str, dict]:
+    """Run every probe; returns ``{probe name: sketch snapshot}``."""
     if n_frames < 1:
         raise BenchmarkError(f"n_frames must be >= 1, got {n_frames}")
     suite: Dict[str, dict] = {}
@@ -232,24 +203,8 @@ def run_suite(n_frames: int = 150, fleet_drones: int = 8,
         fleet_rep.sketch.snapshot()
 
     # NN probes: fused vs unfused mini-YOLO eval forward (tick-clock
-    # structural probes always; wall-clock speedup evidence opt-in).
-    suite.update(_nn_forward_probes(wallclock))
-
-    if wallclock:
-        # Real elapsed time, deliberately: these probes exist to show
-        # sharding buys wall-clock; they are opt-in, never written to
-        # goldens, and skipped by the regression gate by name.
-        from time import perf_counter
-        for shards in (1, FLEET_WALLCLOCK_SHARDS):
-            # reprolint: disable=RL001 opt-in wall-clock probe, ungated
-            t0 = perf_counter()
-            FleetSimulator(_fleet_sim_config(shards=shards)).run()
-            # reprolint: disable=RL001 opt-in wall-clock probe, ungated
-            elapsed_ms = 1000.0 * (perf_counter() - t0)
-            sketch = QuantileSketch()
-            sketch.observe(elapsed_ms)
-            suite[f"fleet/shard_wallclock@{shards}w"] = \
-                sketch.snapshot()
+    # structural probes).
+    suite.update(_nn_forward_probes())
     return suite
 
 
@@ -313,10 +268,6 @@ def compare_points(current: dict, baseline: dict,
     out: List[dict] = []
     base_suite = baseline.get("suite", {})
     for probe, snap in sorted(current.get("suite", {}).items()):
-        # Wall-clock probes are machine-speed measurements, not
-        # simulated metrics — never regression-gate them.
-        if "wallclock" in probe:
-            continue
         base = base_suite.get(probe)
         if base is None:
             continue

@@ -18,10 +18,8 @@ The harness-wide contract:
   (``python -m repro monitor``).
 """
 
-from .metrics import (DEFAULT_BUCKETS_MS, DEFAULT_QUANTILES, Counter,
-                      Gauge, Histogram, MetricsRegistry, NULL_METRICS,
-                      NullMetricsRegistry, interpolated_quantile,
-                      quantile_key)
+from .metrics import (Counter, Gauge, MetricsRegistry, NULL_METRICS,
+                      NullMetricsRegistry)
 from .tracer import (NULL_SPAN, NULL_TRACER, NullTracer, Span,
                      SpanEvent, TraceContext, Tracer, current_tracer,
                      default_clock, record_event, use_tracer)
@@ -33,8 +31,10 @@ from .profile import (DEFAULT_MAX_REGRESS_PCT, DEFAULT_MIN_SELF_MS,
                       build_profile, diff_profiles, folded_stacks,
                       load_profile_document, profile_document,
                       profile_regressions, render_profile, span_paths)
-from .sketch import (DEFAULT_BUFFER_CAP, QuantileSketch, SlidingWindow,
-                     WindowedCounter, WindowedSketch)
+from .sketch import (DEFAULT_BUCKETS_MS, DEFAULT_BUFFER_CAP,
+                     DEFAULT_QUANTILES, QuantileSketch, SlidingWindow,
+                     WindowedCounter, WindowedSketch,
+                     interpolated_quantile, quantile_key)
 from .telemetry import (Aggregator, NULL_TELEMETRY, NullTelemetryBus,
                         TelemetryBus, TelemetrySample,
                         current_telemetry, use_telemetry)
@@ -43,7 +43,7 @@ from .slo import (BurnWindow, ObjectiveStatus, REALTIME_BUDGET_MS,
 from .dashboard import DashboardFrame, MonitorSession, SLO_STAGE
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Counter", "Gauge", "MetricsRegistry",
     "NullMetricsRegistry", "NULL_METRICS", "DEFAULT_BUCKETS_MS",
     "DEFAULT_QUANTILES", "interpolated_quantile", "quantile_key",
     "Span", "SpanEvent", "TraceContext", "Tracer", "NullTracer",

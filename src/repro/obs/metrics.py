@@ -1,13 +1,13 @@
-"""Metrics primitives: counters, gauges, fixed-bucket histograms.
+"""Metrics primitives: counters, gauges, histograms.
 
 A :class:`MetricsRegistry` hands out named instruments and snapshots
 them into one plain dict (sorted keys, JSON-able) that the experiment
 runner attaches to :class:`~repro.bench.runner.ExperimentResult`.
-Histograms use fixed bucket bounds — observation cost is one
-``searchsorted`` — and estimate p50/p95/p99 by linear interpolation
-inside the covering bucket, the standard Prometheus-style compromise
-between memory and quantile fidelity.  Exact min/max/sum/count are kept
-alongside so the interpolation error is visible.
+A histogram is a default :class:`~repro.obs.sketch.QuantileSketch`,
+the repo's one quantile structure: sample-exact quantiles for small
+streams, bucketed with interpolation past its buffer cap, and exact
+min/max/sum/count throughout.  Its snapshot carries
+``"type": "histogram"`` next to the sketch summary.
 
 The :data:`NULL_METRICS` registry backs the disabled tracer: the same
 API, every write discarded, no allocation per call.
@@ -15,55 +15,10 @@ API, every write discarded, no allocation per call.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigError
-
-#: Default histogram bounds (ms-scale latencies: 0.1 ms … 10 s).
-DEFAULT_BUCKETS_MS: Tuple[float, ...] = (
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
-    250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0)
-
-#: Default summary quantiles for snapshots (p50/p95/p99).
-DEFAULT_QUANTILES: Tuple[float, ...] = (0.50, 0.95, 0.99)
-
-
-def quantile_key(q: float) -> str:
-    """Stable snapshot key for a quantile (0.99 → ``"p99"``)."""
-    return f"p{100.0 * q:g}"
-
-
-def interpolated_quantile(bounds, counts, count: int, vmin: float,
-                          vmax: float, q: float) -> float:
-    """Linear-interpolated quantile from fixed bucket counts.
-
-    The one quantile implementation behind :class:`Histogram` and the
-    bucketed phase of :class:`~repro.obs.sketch.QuantileSketch`.
-    Returns NaN when empty.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ConfigError(f"quantile {q} outside [0, 1]")
-    if count == 0:
-        return float("nan")
-    target = q * count
-    cum = 0
-    lo = 0.0
-    for i, c in enumerate(counts):
-        if c == 0:
-            lo = float(bounds[i]) if i < len(bounds) else lo
-            continue
-        if cum + c >= target:
-            hi = float(bounds[i]) if i < len(bounds) else vmax
-            frac = (target - cum) / c
-            est = lo + frac * (hi - lo)
-            # Exact extrema beat interpolation at the tails.
-            return float(min(max(est, vmin), vmax))
-        cum += c
-        lo = float(bounds[i]) if i < len(bounds) else lo
-    return vmax
+from .sketch import QuantileSketch
 
 
 class Counter:
@@ -101,87 +56,6 @@ class Gauge:
         return {"type": "gauge", "value": self.value}
 
 
-class Histogram:
-    """Fixed-bucket histogram with interpolated quantile summaries.
-
-    Non-finite observations (NaN, ±inf) carry no latency information
-    and would poison ``min``/``max``/``quantile``; they are skipped and
-    counted in ``dropped`` so the loss stays visible.  Snapshot
-    quantiles default to p50/p95/p99 and are configurable per
-    histogram (``quantiles=...``) or per snapshot call.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "count", "total",
-                 "min", "max", "dropped", "quantiles")
-
-    def __init__(self, name: str,
-                 buckets: Sequence[float] = DEFAULT_BUCKETS_MS,
-                 quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
-        bounds = [float(b) for b in buckets]
-        if not bounds:
-            raise ConfigError(f"histogram {name!r} needs >= 1 bucket")
-        if sorted(bounds) != bounds or len(set(bounds)) != len(bounds):
-            raise ConfigError(
-                f"histogram {name!r} bounds must strictly increase")
-        if any(not math.isfinite(b) for b in bounds):
-            raise ConfigError(
-                f"histogram {name!r} bounds must be finite")
-        qs = tuple(float(q) for q in quantiles)
-        if not qs or any(not 0.0 <= q <= 1.0 for q in qs):
-            raise ConfigError(
-                f"histogram {name!r} quantiles must lie in [0, 1]")
-        self.name = name
-        self.bounds = np.asarray(bounds, dtype=np.float64)
-        # counts[i] observations <= bounds[i]; counts[-1] is +inf overflow.
-        self.counts = np.zeros(len(bounds) + 1, dtype=np.int64)
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.dropped = 0
-        self.quantiles = qs
-
-    def observe(self, value: float) -> None:
-        v = float(value)
-        if not math.isfinite(v):
-            self.dropped += 1  # skip, don't poison; but keep it visible
-            return
-        self.counts[int(np.searchsorted(self.bounds, v))] += 1
-        self.count += 1
-        self.total += v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile estimate (NaN when empty)."""
-        return interpolated_quantile(self.bounds, self.counts,
-                                     self.count, self.min, self.max, q)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
-    def snapshot(self, quantiles: Optional[Sequence[float]] = None
-                 ) -> dict:
-        qs = self.quantiles if quantiles is None \
-            else tuple(float(q) for q in quantiles)
-        out = {
-            "type": "histogram",
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "mean": self.mean if self.count else None,
-            "dropped": self.dropped,
-        }
-        for q in qs:
-            out[quantile_key(q)] = self.quantile(q) if self.count \
-                else None
-        return out
-
-
 class MetricsRegistry:
     """Named instrument store; one instrument per name, type-stable."""
 
@@ -207,27 +81,19 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge, lambda: Gauge(name))
 
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS_MS,
-                  quantiles: Sequence[float] = DEFAULT_QUANTILES
-                  ) -> Histogram:
-        return self._get(name, Histogram,
-                         lambda: Histogram(name, buckets, quantiles))
+    def histogram(self, name: str) -> QuantileSketch:
+        return self._get(name, QuantileSketch, QuantileSketch)
 
     def names(self) -> List[str]:
         return sorted(self._instruments)
 
-    def snapshot(self, quantiles: Optional[Sequence[float]] = None
-                 ) -> Dict[str, dict]:
-        """All instruments as one JSON-able dict (sorted, stable).
-
-        ``quantiles`` overrides every histogram's summary quantiles for
-        this snapshot (counters/gauges are unaffected)."""
+    def snapshot(self) -> Dict[str, dict]:
+        """All instruments as one JSON-able dict (sorted, stable)."""
         out: Dict[str, dict] = {}
         for name in self.names():
             inst = self._instruments[name]
-            if quantiles is not None and isinstance(inst, Histogram):
-                out[name] = inst.snapshot(quantiles)
+            if isinstance(inst, QuantileSketch):
+                out[name] = {"type": "histogram", **inst.snapshot()}
             else:
                 out[name] = inst.snapshot()
         return out
@@ -266,14 +132,10 @@ class NullMetricsRegistry(MetricsRegistry):
     def gauge(self, name: str):  # type: ignore[override]
         return _NULL_INSTRUMENT
 
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS_MS,
-                  quantiles: Sequence[float] = DEFAULT_QUANTILES):
-        # type: ignore[override]
+    def histogram(self, name: str):  # type: ignore[override]
         return _NULL_INSTRUMENT
 
-    def snapshot(self, quantiles: Optional[Sequence[float]] = None
-                 ) -> Dict[str, dict]:
+    def snapshot(self) -> Dict[str, dict]:
         return {}
 
 

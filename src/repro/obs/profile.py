@@ -421,7 +421,8 @@ def profile_regressions(
             or not head.get("deterministic", False):
         raise ConfigError(
             "refusing to gate non-deterministic (wall-clock) "
-            "profiles; capture both sides without --wallclock")
+            "profiles; capture both sides on the tick clock with "
+            "`python -m repro profile --out <path>`")
     out: List[dict] = []
     base_paths = load_profile_document(base)["paths"]
     head_paths = load_profile_document(head)["paths"]

@@ -14,6 +14,10 @@ two regimes:
   linearly interpolated inside the covering bucket, with exact
   min/max/sum/count kept alongside.
 
+It is the repo's one quantile structure: telemetry, the fleet
+aggregator, the bench-track probes and the metrics registry's
+``histogram`` instruments all summarise with it.
+
 The phase a sketch ends up in depends only on its *total* count, never
 on the order observations or merges arrived in, which makes ``merge``
 associative and commutative up to observable state — the property the
@@ -34,8 +38,49 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigError
-from .metrics import (DEFAULT_BUCKETS_MS, DEFAULT_QUANTILES,
-                      interpolated_quantile, quantile_key)
+
+#: Default bucket bounds (ms-scale latencies: 0.1 ms … 10 s).
+DEFAULT_BUCKETS_MS: Tuple[float, ...] = (
+    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
+    250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0)
+
+#: Default summary quantiles for snapshots (p50/p95/p99).
+DEFAULT_QUANTILES: Tuple[float, ...] = (0.50, 0.95, 0.99)
+
+
+def quantile_key(q: float) -> str:
+    """Stable snapshot key for a quantile (0.99 → ``"p99"``)."""
+    return f"p{100.0 * q:g}"
+
+
+def interpolated_quantile(bounds, counts, count: int, vmin: float,
+                          vmax: float, q: float) -> float:
+    """Linear-interpolated quantile from fixed bucket counts.
+
+    The quantile estimate of :class:`QuantileSketch`'s bucketed phase.
+    Returns NaN when empty.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ConfigError(f"quantile {q} outside [0, 1]")
+    if count == 0:
+        return float("nan")
+    target = q * count
+    cum = 0
+    lo = 0.0
+    for i, c in enumerate(counts):
+        if c == 0:
+            lo = float(bounds[i]) if i < len(bounds) else lo
+            continue
+        if cum + c >= target:
+            hi = float(bounds[i]) if i < len(bounds) else vmax
+            frac = (target - cum) / c
+            est = lo + frac * (hi - lo)
+            # Exact extrema beat interpolation at the tails.
+            return float(min(max(est, vmin), vmax))
+        cum += c
+        lo = float(bounds[i]) if i < len(bounds) else lo
+    return vmax
+
 
 #: Exact-phase capacity: small streams stay exact, large ones bucket.
 DEFAULT_BUFFER_CAP = 256

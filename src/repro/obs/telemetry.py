@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from .metrics import DEFAULT_BUCKETS_MS
-from .sketch import (DEFAULT_QUANTILES, QuantileSketch, WindowedSketch)
+from .sketch import (DEFAULT_BUCKETS_MS, DEFAULT_QUANTILES,
+                     QuantileSketch, WindowedSketch)
 
 
 @dataclass(frozen=True)

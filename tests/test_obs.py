@@ -12,11 +12,12 @@ from repro.bench.runner import ExperimentResult, ExperimentRunner
 from repro.core.pipeline import PipelineConfig, VipPipeline
 from repro.errors import ConfigError, SerializationError
 from repro.faults import FaultInjector, FaultKind, FaultSpec
-from repro.obs import (NULL_SPAN, NULL_TRACER, Counter, Histogram,
-                       MetricsRegistry, NullTracer, Tracer,
+from repro.obs import (DEFAULT_BUCKETS_MS, NULL_SPAN, NULL_TRACER,
+                       Aggregator, Counter, MetricsRegistry, NullTracer,
+                       QuantileSketch, TelemetryBus, Tracer,
                        aggregate_tree, chrome_trace, current_tracer,
                        exclusive_total_s, record_event, render_tree,
-                       use_tracer, write_chrome_trace,
+                       use_telemetry, use_tracer, write_chrome_trace,
                        write_spans_jsonl)
 
 
@@ -131,27 +132,37 @@ class TestMetrics:
             reg.gauge("x")
 
     def test_histogram_quantiles_bracket_truth(self):
-        h = Histogram("lat", buckets=[float(b) for b in range(1, 201)])
+        reg = MetricsRegistry()
+        h = reg.histogram("lat")
         rng = np.random.default_rng(0)
         values = rng.uniform(5.0, 150.0, 5000)
         for v in values:
             h.observe(float(v))
-        snap = h.snapshot()
-        assert snap["count"] == 5000
+        snap = reg.snapshot()["lat"]
+        assert snap["type"] == "histogram"
+        assert snap["count"] == 5000 and snap["exact"] is False
+        edges = (0.0,) + DEFAULT_BUCKETS_MS
         for q, key in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
             truth = float(np.quantile(values, q))
-            # 1-unit buckets → estimate within one bucket width.
-            assert abs(snap[key] - truth) < 2.0, (key, snap[key], truth)
-        assert snap["min"] == pytest.approx(values.min())
-        assert snap["max"] == pytest.approx(values.max())
+            # Past the buffer cap the estimate lies in the bucket that
+            # covers the true quantile.
+            i = int(np.searchsorted(DEFAULT_BUCKETS_MS, truth))
+            assert edges[i] <= snap[key] <= edges[i + 1], \
+                (key, snap[key], truth)
+        assert snap["min"] == values.min()
+        assert snap["max"] == values.max()
 
     def test_histogram_empty_and_bad_buckets(self):
-        h = Histogram("h")
+        reg = MetricsRegistry()
+        h = reg.histogram("h")
         assert np.isnan(h.quantile(0.5))
+        snap = reg.snapshot()["h"]
+        assert snap["count"] == 0
+        assert snap["min"] is None and snap["p50"] is None
         with pytest.raises(ConfigError):
-            Histogram("bad", buckets=[2.0, 1.0])
+            QuantileSketch(buckets=[2.0, 1.0])
         with pytest.raises(ConfigError):
-            Histogram("bad", buckets=[])
+            QuantileSketch(buckets=[])
 
 
 class TestExport:
@@ -233,6 +244,25 @@ class TestPipelineTracing:
             traced.frames_processed
         assert snap["pipeline.frames_dropped"]["value"] == \
             traced.frames_dropped
+
+    def test_frame_latency_histogram_matches_telemetry(self, builder,
+                                                       small_index):
+        # One quantile structure: the tracer's frame-latency histogram
+        # and the telemetry e2e sketch summarise one frame stream with
+        # the same numbers.
+        frames = self._frames(builder, small_index)
+        tracer, bus = Tracer(), TelemetryBus()
+        with use_telemetry(bus):
+            rep = VipPipeline(PipelineConfig(), seed=7,
+                              tracer=tracer).run(frames)
+        hist = tracer.metrics.snapshot()["pipeline.frame_latency_ms"]
+        e2e = Aggregator(bus).fleet_sketch("e2e", 0.0,
+                                           windowed=False).snapshot()
+        assert hist["count"] == e2e["count"] == rep.frames_processed
+        for key in ("min", "max", "p50", "p95", "p99"):
+            assert hist[key] == e2e[key], key
+        assert hist["p50"] == float(
+            np.quantile(rep.per_frame_latency_ms, 0.5))
 
     def test_guard_events_reach_stage_spans(self, builder,
                                             small_index):

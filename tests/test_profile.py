@@ -217,11 +217,6 @@ class TestDeterminism:
             docs.append(dumps_json(profile_document(prof)))
         assert docs[0] == docs[1]
 
-    def test_wallclock_capture_is_marked_ungateable(self):
-        doc = profiler.capture_document(["nn_forward"],
-                                        wallclock=True)
-        assert doc["deterministic"] is False
-
     def test_unknown_target_rejected(self):
         with pytest.raises(BenchmarkError):
             profiler.resolve_targets(["no_such_target"])
@@ -326,7 +321,7 @@ class TestDiffGate:
         # removed/added paths never gate (present-in-both only)
         assert profile_regressions(base, head) == []
 
-    def test_wallclock_documents_refuse_to_gate(self):
+    def test_nondeterministic_documents_refuse_to_gate(self):
         base, head = self._docs()
         head["deterministic"] = False
         with pytest.raises(ConfigError):

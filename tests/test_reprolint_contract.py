@@ -254,7 +254,7 @@ class TestProfileBaseline:
         assert [v.rule_id for v in res.violations] == ["RL104"]
         assert "not valid JSON" in res.violations[0].message
 
-    def test_wallclock_baseline_fires_rl104(self, tmp_path):
+    def test_nondeterministic_baseline_fires_rl104(self, tmp_path):
         root = build_repo(tmp_path, baseline=PROFILE_BASELINE.replace(
             '"deterministic": true', '"deterministic": false'))
         res = contract_lint(root)

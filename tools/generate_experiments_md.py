@@ -80,6 +80,7 @@ than summarise them afterwards (see DESIGN.md, "Streaming telemetry"):
   trajectory point: bench_trajectory/BENCH_ci.json
     fleet/e2e@adaptive: n=400 p50=31.72 p95=31.72 p99=31.72
     latency/yolov8-n@orin-nano: n=150 p50=32.37 p95=35.07 p99=36.59
+    serving/e2e@32x-full: n=808 p50=74.97 p95=97.50 p99=99.50
   no p99 regression vs bench_trajectory/BENCH_baseline.json (tolerance 10%)
   ```
 
@@ -89,7 +90,11 @@ than summarise them afterwards (see DESIGN.md, "Streaming telemetry"):
   suite includes two serving probes — admitted-request e2e latency at
   2× overload with predictive shedding, and the saturated full-batch
   per-frame execution time — so regressions in the batcher or the
-  admission path trip the p99 gate too.
+  admission path trip the p99 gate too, plus the merged e2e tail of
+  the cell-sharded fleet (``fleet/merged_e2e@4c``, golden-safe because
+  the merge is shard-count invariant).  Every probe is gated; none
+  is a wall-clock time.  Wall-clock speed is measured by
+  ``perfbench/run.py`` and compared with ``perfbench/compare.py``.
 
 * ``python -m repro serve-sim [--streams N --policy P --check]`` runs
   the dynamic-batching serving simulator (``repro.serving``,
@@ -99,7 +104,32 @@ than summarise them afterwards (see DESIGN.md, "Streaming telemetry"):
   goodput, mean batch size, and the measured per-frame execution
   time.  With ``--check`` it exits non-zero if request conservation
   or the deadline SLO fails, which is how CI smokes the serving
-  path.
+  path.  ``--cells N`` (or ``--shards``/
+  ``--autoscale``, which imply it) switches to the sharded fleet
+  simulator: streams partition into cells by stable hash, each cell
+  runs its own replica pool, ``--shards N`` fans the cells over N
+  worker processes, and ``--autoscale`` turns on the SLO-burn
+  autoscaler (``--epoch-s``, ``--max-replicas``, ``--ramp 1,3,1``
+  shape the scaling run).  In fleet mode ``--check`` additionally
+  reruns the fleet single-shard and fails on any byte difference in
+  the merged metrics — the shard-count invariance gate CI runs.
+
+* ``python -m repro profile [targets...]`` is the hotspot twin of
+  bench-track: it runs its targets (experiment ids and/or the
+  ``nn_forward`` / ``fleet_cells`` probes) under the deterministic
+  tick clock and attributes time to canonical span paths instead of
+  probe-level percentiles.  The committed baseline at
+  ``profile_baseline/PROFILE_baseline.json`` captures the default
+  target set — ``ablation_pipeline`` (renderer rasterization),
+  ``exp_serving`` (serving event loop), ``fleet_cells`` (fleet merge
+  and cluster loop) and ``nn_forward`` (conv im2col/GEMM) — and is
+  byte-stable across machines, reruns and shard counts, so CI runs
+  ``repro profile --diff profile_baseline/PROFILE_baseline.json
+  <head>`` on every push and fails when any tracked path's self-time
+  p50 regresses more than 10 %.  Regenerate after intentional
+  hot-path changes with ``python -m repro profile --out
+  profile_baseline/PROFILE_baseline.json`` (the
+  ``tests/test_profile.py`` freshness golden will remind you).
 """
 
 ORDER = ["table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4",
@@ -108,7 +138,8 @@ ORDER = ["table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4",
          "ablation_adaptive", "ablation_efficiency",
          "ablation_precision", "ablation_fleet", "ablation_strata",
          "ablation_chaos", "ablation_severity", "ablation_multimodal",
-         "ablation_percategory", "exp_serving"]
+         "ablation_percategory", "exp_serving", "exp_serving_chaos",
+         "exp_fleet_scale"]
 
 
 def main() -> None:
