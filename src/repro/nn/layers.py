@@ -30,14 +30,30 @@ from .workspace import Workspace
 IM2COL_BLOCK_BYTES = 1 << 19
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float32)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x: np.ndarray,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Numerically stable logistic function; float32 for any input.
+
+    With ``t = exp(-|x|)`` (never overflows) the logistic is
+    ``1 / (1 + t)`` for ``x >= 0`` and ``t / (1 + t)`` below: one
+    ``exp`` of a non-positive value, in the input's precision, rounded
+    to float32 once by the final divide.  ``-|x|`` is taken as
+    ``min(x, -x)``, which passes a NaN through with its own bits.  The result is written into
+    ``out`` (float32, ``x``'s shape; it may alias ``x``) or a fresh
+    array.  This is the only sigmoid: training, the fused SiLU epilogue,
+    the losses and the model heads all call it.
+    """
+    x = np.asarray(x)
+    t = np.empty(x.shape, x.dtype if x.dtype.kind == "f" else np.float64)
+    np.negative(x, out=t)
+    np.minimum(x, t, out=t)
+    np.exp(t, out=t)
+    num = np.where(x >= 0, 1.0, t)
+    np.add(t, 1.0, out=t)
+    if out is None:
+        out = num if num.dtype == np.float32 \
+            else np.empty(x.shape, dtype=np.float32)
+    return np.divide(num, t, out=out)
 
 
 class Layer:
@@ -91,9 +107,7 @@ def _apply_act_(buf: np.ndarray, kind: Optional[str], slope: float) -> None:
         # max(x, slope*x) == leaky_relu(x) exactly for slope in [0, 1].
         np.maximum(buf, buf * np.float32(slope), out=buf)
     elif kind == "silu":
-        t = np.exp(-np.abs(buf))
-        s = np.where(buf >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-        np.multiply(buf, s.astype(np.float32), out=buf)
+        np.multiply(buf, sigmoid(buf), out=buf)
     else:
         raise ConfigError(f"unknown fused activation {kind!r}")
 
@@ -356,25 +370,29 @@ class SiLU(Layer):
     """SiLU / swish: ``x * sigmoid(x)`` — the YOLOv8/v11 activation."""
 
     def __init__(self) -> None:
-        self._cache: Optional[Tuple] = None
+        self._cache: Optional[np.ndarray] = None
         self.name = "silu"
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+        # Copy, not a reference: the caller owns x and may reuse its
+        # buffer before backward runs (RL202 — the same by-reference-
+        # cache family as the Linear gradient bug).  The backward
+        # recomputes sigmoid(x) rather than caching it.
+        self._cache = freeze(x.copy()) if training else None
         s = sigmoid(x)
-        if training:
-            # Copy, not a reference: the caller owns x and may reuse
-            # its buffer before backward runs (RL202 — the same
-            # by-reference-cache family as the Linear gradient bug).
-            self._cache = (freeze(x.copy()), freeze(s))
-        else:
-            self._cache = None
-        return (x * s).astype(np.float32)
+        return np.multiply(x, s, out=s)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise ShapeError("backward before forward in SiLU")
-        x, s = self._cache
-        return (grad_out * (s * (1.0 + x * (1.0 - s)))).astype(np.float32)
+        x = self._cache
+        s = sigmoid(x)
+        # grad * s * (1 + x * (1 - s)), built up in one float32 buffer.
+        d = np.subtract(1.0, s)
+        np.multiply(x, d, out=d)
+        np.add(d, 1.0, out=d)
+        np.multiply(s, d, out=d)
+        return np.multiply(grad_out, d, out=d)
 
 
 class ReLU(Layer):

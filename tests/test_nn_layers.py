@@ -63,6 +63,49 @@ class TestSigmoid:
         s = sigmoid(x)
         assert np.all(np.isfinite(s))
 
+    @staticmethod
+    def _mask_form(x):
+        """The earlier gather/scatter sigmoid, kept as the reference."""
+        out = np.empty_like(x, dtype=np.float32)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45,
+             1e-40, -1e-40, 1.1754944e-38, -1.1754944e-38, 88.7, -88.7,
+             104.0, -104.0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @np.errstate(invalid="ignore", over="ignore")
+    def test_bitwise_equal_to_mask_form(self, dtype):
+        gen = np.random.default_rng(17)
+        bits = gen.integers(0, 2 ** 32, size=1 << 20, dtype=np.uint64)
+        x = np.concatenate([
+            bits.astype(np.uint32).view(np.float32),
+            np.array(self.EDGES, dtype=np.float32),
+            gen.normal(scale=40.0, size=4096).astype(np.float32),
+        ]).astype(dtype)
+        if dtype is np.float64:
+            wide = gen.integers(0, 2 ** 63, size=1 << 18, dtype=np.uint64)
+            x = np.concatenate([x, wide.view(np.float64)])
+        ref = self._mask_form(x)
+        got = sigmoid(x)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.uint32),
+                                      ref.view(np.uint32))
+
+    def test_out_buffer_receives_result(self):
+        x = RNG.normal(scale=5.0, size=(3, 7)).astype(np.float32)
+        ref = sigmoid(x)
+        out = np.empty_like(x)
+        assert sigmoid(x, out=out) is out
+        np.testing.assert_array_equal(out, ref)
+        alias = x.copy()
+        sigmoid(alias, out=alias)  # out may alias the input
+        np.testing.assert_array_equal(alias, ref)
+
 
 class TestConv2d:
     def test_output_shape_same_pad(self):
@@ -168,6 +211,29 @@ class TestActivations:
         out = LeakyReLU(0.1).forward(
             np.array([-10.0], np.float32).reshape(1, 1, 1, 1))
         assert out.item() == pytest.approx(-1.0)
+
+    def test_silu_bitwise_equal_to_reference_formulas(self):
+        # The earlier SiLU cached sigmoid(x) from the mask form and
+        # evaluated these two expressions; the layer must reproduce
+        # them bit for bit (training loss histories depend on it).
+        gen = np.random.default_rng(23)
+        x = gen.normal(scale=6.0, size=(2, 5, 9, 9)).astype(np.float32)
+        x.flat[:8] = [0.0, -0.0, 1e-45, -1e-40, 88.7, -88.7, 104.0, -104.0]
+        g = gen.normal(size=x.shape).astype(np.float32)
+        s = TestSigmoid._mask_form(x)
+        fwd_ref = (x * s).astype(np.float32)
+        bwd_ref = (g * (s * (1.0 + x * (1.0 - s)))).astype(np.float32)
+        act = SiLU()
+        fwd = act.forward(x, training=True)
+        bwd = act.backward(g)
+        assert fwd.dtype == bwd.dtype == np.float32
+        np.testing.assert_array_equal(fwd.view(np.uint32),
+                                      fwd_ref.view(np.uint32))
+        np.testing.assert_array_equal(bwd.view(np.uint32),
+                                      bwd_ref.view(np.uint32))
+        np.testing.assert_array_equal(
+            SiLU().forward(x, training=False).view(np.uint32),
+            fwd_ref.view(np.uint32))
 
     def test_silu_matches_definition(self):
         x = x4()
