@@ -6,8 +6,7 @@ a registered fast experiment id (run through the normal
 dedicated probes covering hot paths no fast experiment reaches:
 
 * ``nn_forward`` — a small conv stack forward pass, exercising the
-  ``nn.conv2d`` / ``nn.im2col`` / ``nn.gemm`` span chain over the
-  workspace arena;
+  ``nn.conv2d`` / ``nn.im2col`` / ``nn.gemm`` span chain;
 * ``nn_forward_e2e`` — the mini-YOLO end-to-end eval forward, once
   unfused and once through the folded pipeline, for side-by-side
   attribution of the two span trees;
@@ -49,19 +48,12 @@ DEFAULT_OUT_DIR = "profiles"
 
 
 def _probe_nn_forward(shards: int) -> None:
-    """Forward a small conv stack (im2col + GEMM hot path).
-
-    The convs share a workspace arena, so reps 2+ run the blocked
-    im2col path over reused buffers — the per-frame steady state.
-    """
+    """Forward a small conv stack (blocked im2col + GEMM hot path)."""
     del shards  # single-process by nature
     from ..nn.layers import Conv2d
-    from ..nn.workspace import Workspace
-    ws = Workspace()
-    conv1 = Conv2d(3, 8, 3, rng=make_rng(7, "profile-nn", "conv1"),
-                   workspace=ws)
+    conv1 = Conv2d(3, 8, 3, rng=make_rng(7, "profile-nn", "conv1"))
     conv2 = Conv2d(8, 16, 3, stride=2,
-                   rng=make_rng(7, "profile-nn", "conv2"), workspace=ws)
+                   rng=make_rng(7, "profile-nn", "conv2"))
     x = make_rng(7, "profile-nn", "input").standard_normal(
         (2, 3, 16, 16)).astype(np.float32)
     for _ in range(3):
@@ -112,7 +104,7 @@ def _probe_nn_layers(shards: int) -> None:
         pool.forward(y, training=False)
     weight, bias = fold_conv_bn(conv, bn)
     fused = FusedConvBNAct(weight, bias, conv.stride, conv.padding,
-                           act="silu", workspace=Workspace())
+                           silu=True, workspace=Workspace())
     with tracer.span("layer.fused_convbnact"):
         fused.forward(x, training=False)
 

@@ -20,8 +20,6 @@ from .layers import (
     Conv2d,
     BatchNorm2d,
     SiLU,
-    LeakyReLU,
-    ReLU,
     MaxPool2d,
     Upsample2x,
     Linear,
@@ -32,13 +30,7 @@ from .layers import (
 from .blocks import ConvBNAct, ResidualBlock, CSPBlock, SPPFBlock
 from .network import Sequential, count_parameters
 from .workspace import Workspace
-from .fuse import (
-    FusedAffineAct,
-    FusedConvBNAct,
-    FusedSequential,
-    fold_conv_bn,
-    fuse_eval,
-)
+from .fuse import FusedConvBNAct, FusedSequential, fold_conv_bn, fuse_eval
 from .optim import SGD, Adam, CosineWarmupSchedule
 from .losses import (
     bce_with_logits,
@@ -52,13 +44,12 @@ from .flops import conv2d_flops, linear_flops, layer_memory_bytes
 
 __all__ = [
     "he_init", "xavier_init", "zeros_init",
-    "Layer", "Conv2d", "BatchNorm2d", "SiLU", "LeakyReLU", "ReLU",
-    "MaxPool2d", "Upsample2x", "Linear", "Flatten", "conv2d_eval",
-    "sigmoid",
+    "Layer", "Conv2d", "BatchNorm2d", "SiLU", "MaxPool2d", "Upsample2x",
+    "Linear", "Flatten", "conv2d_eval", "sigmoid",
     "ConvBNAct", "ResidualBlock", "CSPBlock", "SPPFBlock",
     "Sequential", "count_parameters",
     "Workspace", "fuse_eval", "fold_conv_bn",
-    "FusedSequential", "FusedConvBNAct", "FusedAffineAct",
+    "FusedSequential", "FusedConvBNAct",
     "SGD", "Adam", "CosineWarmupSchedule",
     "bce_with_logits", "bce_with_logits_grad", "mse_loss",
     "smooth_l1", "smooth_l1_grad", "ciou",

@@ -45,20 +45,6 @@ def batchnorm_params(channels: int) -> int:
     return 2 * channels
 
 
-def batchnorm_flops(channels: int, h: int, w: int) -> int:
-    """Per-inference flops of (folded) batchnorm: scale + shift."""
-    return 2 * channels * h * w
-
-
-def activation_flops(channels: int, h: int, w: int,
-                     kind: str = "silu") -> int:
-    """Approximate activation cost (SiLU ≈ 5 ops/element; ReLU ≈ 1)."""
-    per = {"silu": 5, "relu": 1, "leaky_relu": 2, "sigmoid": 4}.get(kind)
-    if per is None:
-        raise ModelError(f"unknown activation {kind!r}")
-    return per * channels * h * w
-
-
 def layer_memory_bytes(params: int, activation_elems: int) -> int:
     """Bytes moved by one layer in inference: weights + activations out."""
     return fp32_bytes(params) + fp32_bytes(activation_elems)

@@ -1,19 +1,17 @@
-"""Eval-time graph folding: Conv→BN and affine→activation fusion.
+"""Eval-time graph folding: Conv→BN folding with a SiLU epilogue.
 
 Training wants every intermediate (BatchNorm batch statistics, pre-
 activation tensors for the backward pass); frame-rate inference wants
 none of them.  This module rewrites a trained :class:`Sequential` into
 an eval-only pipeline where:
 
-* every Conv2d→BatchNorm2d pair is *folded* — the BN running statistics
-  and affine parameters are absorbed into the convolution's weights and
-  bias, so the BN layer disappears entirely (see ``fold_conv_bn`` for
-  the algebra);
-* the trailing activation of each Conv-BN-Act unit becomes a GEMM
-  *epilogue*: it runs in place on the 2-D GEMM output buffer before the
-  NCHW transpose, so no intermediate activation tensor is materialised;
-* a bare BatchNorm2d→activation chain collapses to one per-channel
-  affine+activation pass (:class:`FusedAffineAct`);
+* every ConvBNAct's Conv2d→BatchNorm2d pair is *folded* — the BN
+  running statistics and affine parameters are absorbed into the
+  convolution's weights and bias, so the BN layer disappears entirely
+  (see ``fold_conv_bn`` for the algebra);
+* its SiLU becomes a GEMM *epilogue*: it runs in place on the 2-D GEMM
+  output buffer before the NCHW transpose, so no intermediate
+  activation tensor is materialised;
 * every fused conv runs the shared eval kernel
   :func:`~repro.nn.layers.conv2d_eval`, with im2col columns, padded
   inputs and GEMM outputs in a shared
@@ -22,19 +20,17 @@ an eval-only pipeline where:
   its sub-units replaced by their fused forms, so the block's own eval
   forward (argmax-free pooling included) runs over them.
 
-Folding rules (DESIGN.md §"Fusion/workspace layer" has the same table):
+Folding rules, applied to each layer on its own (DESIGN.md
+§"Fusion/workspace layer" has the same table):
 
-====================================  =================================
-pattern in the eval graph             fused form
-====================================  =================================
-Conv2d → BatchNorm2d → act            FusedConvBNAct (one GEMM + epilogue)
-Conv2d → BatchNorm2d                  FusedConvBNAct (no epilogue)
-Conv2d (standalone)                   FusedConvBNAct (identity fold)
-BatchNorm2d → act                     FusedAffineAct
-BatchNorm2d (standalone)              FusedAffineAct (no epilogue)
-ResidualBlock / CSPBlock / SPPFBlock  same block class over fused sub-units
-anything else                         passed through unchanged
-====================================  =================================
+=======================================  ===============================
+layer in the eval graph                  fused form
+=======================================  ===============================
+ConvBNAct (Conv2d → BatchNorm2d → SiLU)  FusedConvBNAct (GEMM + SiLU)
+Conv2d (standalone)                      FusedConvBNAct (identity fold)
+ResidualBlock / CSPBlock / SPPFBlock     same class over fused sub-units
+anything else                            passed through unchanged
+=======================================  ===============================
 
 The fused network is **eval-only**: ``forward(training=True)``,
 ``backward()`` and ``load()`` all raise :class:`~repro.errors.ModelError`
@@ -47,42 +43,16 @@ the source network after any parameter change.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ModelError
 from ..obs import current_tracer
 from .blocks import ConvBNAct, CSPBlock, ResidualBlock, SPPFBlock
-from .layers import (
-    BatchNorm2d,
-    Conv2d,
-    Layer,
-    LeakyReLU,
-    ReLU,
-    SiLU,
-    _apply_act_,
-    conv2d_eval,
-)
+from .layers import BatchNorm2d, Conv2d, Layer, conv2d_eval
 from .network import Sequential
 from .workspace import Workspace
-
-
-def _act_kind(layer: Layer) -> Optional[Tuple[str, float]]:
-    """(kind, slope) if ``layer`` is a fusable activation, else None.
-
-    A LeakyReLU folds only for a slope in [0, 1], where the epilogue's
-    ``max(x, slope*x)`` equals it; any other slope stays its own layer.
-    """
-    if isinstance(layer, SiLU):
-        return ("silu", 0.0)
-    if isinstance(layer, LeakyReLU):
-        if 0.0 <= layer.slope <= 1.0:
-            return ("leaky_relu", float(layer.slope))
-        return None
-    if isinstance(layer, ReLU):
-        return ("relu", 0.0)
-    return None
 
 
 def fold_conv_bn(conv: Conv2d, bn: Optional[BatchNorm2d]
@@ -112,16 +82,15 @@ def fold_conv_bn(conv: Conv2d, bn: Optional[BatchNorm2d]
 
 
 class FusedConvBNAct(Layer):
-    """Folded convolution with optional in-buffer activation epilogue.
+    """Folded convolution with an in-buffer SiLU (or identity) epilogue.
 
     Runs :func:`~repro.nn.layers.conv2d_eval` over the workspace arena;
-    the activation is applied in place on the 2-D GEMM output before the
-    single NCHW transpose.  Eval-only by construction.
+    with ``silu`` the activation is applied in place on the 2-D GEMM
+    output before the single NCHW transpose.  Eval-only by construction.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray,
-                 stride: int, padding: int,
-                 act: Optional[str] = None, slope: float = 0.0,
+                 stride: int, padding: int, silu: bool = False,
                  workspace: Optional[Workspace] = None) -> None:
         self.weight = weight
         self.bias = bias
@@ -129,11 +98,10 @@ class FusedConvBNAct(Layer):
         self.kernel = weight.shape[2]
         self.stride = stride
         self.padding = padding
-        self.act = act
-        self.slope = slope
+        self.silu = silu
         self.workspace = workspace
         self.name = f"fused_conv{self.kernel}x{self.kernel}" \
-            + (f"_{act}" if act else "")
+            + ("_silu" if silu else "")
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         if training:
@@ -153,42 +121,13 @@ class FusedConvBNAct(Layer):
         return conv2d_eval(x, self.weight.reshape(self.out_channels, -1),
                            self.bias, self.kernel, self.stride,
                            self.padding, ws=self.workspace, owner=self,
-                           epilogue=True, act=self.act, slope=self.slope)
+                           epilogue=True, silu=self.silu)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise ModelError("fused layers are eval-only; no backward")
 
     def params(self) -> Dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias}
-
-
-class FusedAffineAct(Layer):
-    """Per-channel affine (folded BN) with optional activation epilogue."""
-
-    def __init__(self, scale: np.ndarray, shift: np.ndarray,
-                 act: Optional[str] = None, slope: float = 0.0) -> None:
-        self.scale = scale.astype(np.float32)
-        self.shift = shift.astype(np.float32)
-        self.act = act
-        self.slope = slope
-        self.name = "fused_affine" + (f"_{act}" if act else "")
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if training:
-            raise ModelError(
-                "fused layers are eval-only; train the unfused network "
-                "and re-fold")
-        if x.ndim != 4 or x.shape[1] != self.scale.shape[0]:
-            raise ModelError(
-                f"fused affine expects (N, {self.scale.shape[0]}, H, W), "
-                f"got {x.shape}")
-        out = (x * self.scale[None, :, None, None]
-               + self.shift[None, :, None, None]).astype(np.float32)
-        _apply_act_(out, self.act, self.slope)
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        raise ModelError("fused layers are eval-only; no backward")
 
 
 class FusedSequential(Sequential):
@@ -228,18 +167,22 @@ class FusedSequential(Sequential):
 
 
 def _fuse_block(layer: Layer, ws: Optional[Workspace]) -> Optional[Layer]:
-    """Fused equivalent of a composite block, or None if not fusable.
+    """Fused equivalent of one layer, or None if it has none.
 
-    A ConvBNAct folds to one :class:`FusedConvBNAct`.  A Residual/CSP/
-    SPPF block is copied with a fresh sub-layer table (and bottleneck
-    list) holding the fused form of each sub-unit, so the block's own
-    forward runs over fused units and the source stays trainable.
+    A ConvBNAct folds to one :class:`FusedConvBNAct` with the SiLU
+    epilogue, a bare Conv2d (the 1×1 heads) to an identity-epilogue one.
+    A Residual/CSP/SPPF block is copied with a fresh sub-layer table
+    (and bottleneck list) holding the fused form of each sub-unit, so
+    the block's own forward runs over fused units and the source stays
+    trainable.
     """
     if isinstance(layer, ConvBNAct):
         weight, bias = fold_conv_bn(layer.conv, layer.bn)
-        act, slope = _act_kind(layer.act) or (None, 0.0)
         return FusedConvBNAct(weight, bias, layer.conv.stride,
-                              layer.conv.padding, act=act, slope=slope,
+                              layer.conv.padding, silu=True, workspace=ws)
+    if isinstance(layer, Conv2d):
+        weight, bias = fold_conv_bn(layer, None)
+        return FusedConvBNAct(weight, bias, layer.stride, layer.padding,
                               workspace=ws)
     if not isinstance(layer, (ResidualBlock, CSPBlock, SPPFBlock)):
         return None
@@ -259,48 +202,15 @@ def fuse_eval(net: Sequential,
               workspace: Optional[Workspace] = None) -> FusedSequential:
     """Fold ``net`` into an eval-only :class:`FusedSequential`.
 
-    Scans the flat layer list for Conv→BN(→act) and BN(→act) chains,
-    recurses into the composite YOLO blocks, and passes everything else
-    through unchanged.  ``workspace`` (shared by every fused conv) keeps
-    the conv intermediates in one arena reused across frames; without
-    it every forward allocates them fresh.
+    Replaces each layer by its fused form (see :func:`_fuse_block`) and
+    passes everything else through unchanged.  ``workspace`` (shared by
+    every fused conv) keeps the conv intermediates in one arena reused
+    across frames; without it every forward allocates them fresh.
 
     The source network is left untouched — folding copies parameters, so
     continued training of ``net`` never corrupts the fused graph (but
     does make it stale: re-fuse after updates).
     """
-    src = net.layers
-    fused: List[Layer] = []
-    i = 0
-    while i < len(src):
-        layer = src[i]
-        blk = _fuse_block(layer, workspace)
-        if blk is not None:
-            fused.append(blk)
-            i += 1
-            continue
-        if isinstance(layer, Conv2d):
-            bn = src[i + 1] if i + 1 < len(src) else None
-            bn = bn if isinstance(bn, BatchNorm2d) else None
-            j = i + (2 if bn is not None else 1)
-            kind = _act_kind(src[j]) if j < len(src) else None
-            act, slope = kind if kind is not None else (None, 0.0)
-            weight, bias = fold_conv_bn(layer, bn)
-            fused.append(FusedConvBNAct(
-                weight, bias, layer.stride, layer.padding,
-                act=act, slope=slope, workspace=workspace))
-            i = j + (1 if kind is not None else 0)
-            continue
-        if isinstance(layer, BatchNorm2d):
-            kind = _act_kind(src[i + 1]) if i + 1 < len(src) else None
-            act, slope = kind if kind is not None else (None, 0.0)
-            scale = (layer.gamma
-                     / np.sqrt(layer.running_var + layer.eps))
-            shift = layer.beta - layer.running_mean * scale
-            fused.append(FusedAffineAct(scale, shift, act=act, slope=slope))
-            i += 2 if kind is not None else 1
-            continue
-        fused.append(layer)
-        i += 1
+    fused = [_fuse_block(layer, workspace) or layer for layer in net.layers]
     return FusedSequential(fused, name=f"{net.name}-fused",
                            workspace=workspace)

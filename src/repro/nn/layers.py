@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ShapeError
 from ..obs import current_tracer
 from .init import he_init, xavier_init, zeros_init
 from .sanitizer import freeze
@@ -91,27 +91,6 @@ class Layer:
         return self.forward(x, training=training)
 
 
-def _apply_act_(buf: np.ndarray, kind: Optional[str], slope: float) -> None:
-    """In-place activation epilogue on a GEMM output buffer.
-
-    The SiLU branch mirrors :func:`sigmoid` element-for-element
-    (``exp(-|x|)`` based), so fused and unfused activations agree to
-    float32 rounding.  The leaky branch assumes ``slope`` in [0, 1];
-    the fuser only folds such activations.
-    """
-    if kind is None:
-        return
-    if kind == "relu":
-        np.maximum(buf, 0.0, out=buf)
-    elif kind == "leaky_relu":
-        # max(x, slope*x) == leaky_relu(x) exactly for slope in [0, 1].
-        np.maximum(buf, buf * np.float32(slope), out=buf)
-    elif kind == "silu":
-        np.multiply(buf, sigmoid(buf), out=buf)
-    else:
-        raise ConfigError(f"unknown fused activation {kind!r}")
-
-
 def _conv_geometry(x: np.ndarray, in_channels: int, k: int, s: int,
                    p: int) -> Tuple[int, int, int, int]:
     """(ho, wo, hp, wp) of the conv output / padded input.
@@ -134,8 +113,7 @@ def _conv_geometry(x: np.ndarray, in_channels: int, k: int, s: int,
 def conv2d_eval(x: np.ndarray, w2d: np.ndarray, b: Optional[np.ndarray],
                 k: int, s: int, p: int, ws: Optional[Workspace] = None,
                 owner: object = None, epilogue: bool = False,
-                act: Optional[str] = None,
-                slope: float = 0.0) -> np.ndarray:
+                silu: bool = False) -> np.ndarray:
     """Eval convolution: blocked im2col, one GEMM, in-place epilogue.
 
     ``w2d`` is the ``(O, C*k*k)`` weight matrix and ``b`` the optional
@@ -144,7 +122,7 @@ def conv2d_eval(x: np.ndarray, w2d: np.ndarray, b: Optional[np.ndarray],
     fresh arrays when ``ws`` is None; the two are bitwise identical.
     The window→column copy is cache-blocked over output rows and the
     bias is added on the GEMM output.  With ``epilogue`` (the folded
-    layers) ``act`` (see :func:`_apply_act_`; None is the identity)
+    layers) the activation — SiLU when ``silu``, else the identity —
     then runs in place on it under its own ``nn.act`` span, so every
     folded conv has the same span shape.  The returned NCHW tensor is
     always a fresh array, never an arena view.
@@ -184,7 +162,8 @@ def conv2d_eval(x: np.ndarray, w2d: np.ndarray, b: Optional[np.ndarray],
             out2d += b
     if epilogue:
         with tracer.span("nn.act"):
-            _apply_act_(out2d, act, slope)
+            if silu:
+                np.multiply(out2d, sigmoid(out2d), out=out2d)
     out = out2d.reshape(n, ho, wo, o)
     # .copy(), not ascontiguousarray: when the transposed view is
     # already contiguous (1x1 spatial output) ascontiguousarray returns
@@ -200,8 +179,7 @@ class Conv2d(Layer):
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: Optional[int] = None,
                  bias: bool = True,
-                 rng: Optional[np.random.Generator] = None,
-                 workspace: Optional[Workspace] = None) -> None:
+                 rng: Optional[np.random.Generator] = None) -> None:
         if min(in_channels, out_channels, kernel, stride) < 1:
             raise ShapeError(
                 f"bad conv config: in={in_channels} out={out_channels} "
@@ -218,9 +196,6 @@ class Conv2d(Layer):
         self.dweight = np.zeros_like(self.weight)
         self.dbias = np.zeros_like(self.bias) if bias else None
         self._cache: Optional[Tuple] = None
-        #: When set, eval forwards keep their intermediates in this
-        #: arena (reused across frames) instead of fresh arrays.
-        self.workspace = workspace
         self.name = f"conv{kernel}x{kernel}"
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
@@ -238,8 +213,7 @@ class Conv2d(Layer):
             # cache so a stray backward() raises instead of silently
             # differentiating a previous batch's activations.
             self._cache = None
-            return conv2d_eval(x, w_mat, self.bias, k, s, p,
-                               ws=self.workspace, owner=self)
+            return conv2d_eval(x, w_mat, self.bias, k, s, p)
         tracer = current_tracer()
         ho, wo, hp, wp = _conv_geometry(x, self.in_channels, k, s, p)
         n = x.shape[0]
@@ -393,44 +367,6 @@ class SiLU(Layer):
         np.add(d, 1.0, out=d)
         np.multiply(s, d, out=d)
         return np.multiply(grad_out, d, out=d)
-
-
-class ReLU(Layer):
-    """Rectified linear unit."""
-
-    def __init__(self) -> None:
-        self._mask: Optional[np.ndarray] = None
-        self.name = "relu"
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        mask = x > 0
-        self._mask = freeze(mask) if training else None
-        return np.where(mask, x, 0.0).astype(np.float32)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise ShapeError("backward before forward in ReLU")
-        return np.where(self._mask, grad_out, 0.0).astype(np.float32)
-
-
-class LeakyReLU(Layer):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, slope: float = 0.1) -> None:
-        self.slope = slope
-        self._mask: Optional[np.ndarray] = None
-        self.name = "leaky_relu"
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        mask = x > 0
-        self._mask = freeze(mask) if training else None
-        return np.where(mask, x, self.slope * x).astype(np.float32)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise ShapeError("backward before forward in LeakyReLU")
-        return np.where(self._mask, grad_out,
-                        self.slope * grad_out).astype(np.float32)
 
 
 class MaxPool2d(Layer):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError, ShapeError
+from repro.models.depth.mini import MiniDepth
+from repro.models.pose.mini import MiniPose
 from repro.models.yolo.mini import MINI_YOLO_VARIANTS, build_mini_yolo
 from repro.nn import (BatchNorm2d, Conv2d, ConvBNAct, CSPBlock,
-                      FusedConvBNAct, FusedSequential, LeakyReLU, ReLU,
-                      ResidualBlock, Sequential, SiLU, SPPFBlock, Workspace,
+                      FusedConvBNAct, FusedSequential, ResidualBlock,
+                      Sequential, SiLU, SPPFBlock, Upsample2x, Workspace,
                       fold_conv_bn, fuse_eval)
 
 RNG = np.random.default_rng(1)
@@ -52,15 +54,31 @@ class TestFoldConvBn:
             fold_conv_bn(conv, BatchNorm2d(4))
 
 
+def _network(name):
+    """The unfused net of a mini-YOLO variant, MiniPose or MiniDepth."""
+    if name == "mini-pose":
+        return MiniPose().net
+    if name == "mini-depth":
+        return MiniDepth().net
+    cfg = MINI_YOLO_VARIANTS[name]
+    return build_mini_yolo(cfg.family, cfg.variant).net
+
+
 class TestFusedEquivalence:
-    @pytest.mark.parametrize("name", sorted(MINI_YOLO_VARIANTS))
+    @pytest.mark.parametrize(
+        "name", sorted(MINI_YOLO_VARIANTS) + ["mini-pose", "mini-depth"])
     def test_all_variants_match_unfused(self, name):
-        cfg = MINI_YOLO_VARIANTS[name]
-        model = build_mini_yolo(cfg.family, cfg.variant)
+        net = _network(name)
         x = _images()
-        ref = model.forward(x, training=False)
-        model.fuse()
-        out = model.forward(x, training=False)
+        ref = net.forward(x, training=False)
+        fused = net.fuse(workspace=Workspace())
+        # Only folded convs and the composite blocks over them remain;
+        # Upsample2x (the depth decoder) passes through unchanged.
+        assert all(isinstance(layer, (FusedConvBNAct, CSPBlock, SPPFBlock,
+                                      Upsample2x))
+                   for layer in fused.layers)
+        assert isinstance(fused.layers[-1], FusedConvBNAct)  # 1x1 head
+        out = fused.forward(x, training=False)
         np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("seed", [0, 11, 42])
@@ -81,46 +99,20 @@ class TestFusedEquivalence:
         np.testing.assert_allclose(
             fused.forward(x, training=False), ref, atol=1e-5)
 
-    def test_bare_conv_bn_act_chain_folds(self):
+    def test_flat_layers_fold_one_at_a_time(self):
+        # Folding is per layer: a bare Conv2d becomes an identity
+        # FusedConvBNAct; a flat BatchNorm2d and SiLU stay as they are.
         gen = np.random.default_rng(9)
-        for act in (SiLU(), ReLU(), LeakyReLU(0.1)):
-            net = Sequential([Conv2d(3, 6, 3, rng=gen, bias=True),
-                              BatchNorm2d(6), act], name="chain")
-            net.forward(gen.normal(size=(2, 3, 8, 8)).astype(np.float32),
-                        training=True)
-            x = RNG.normal(size=(2, 3, 8, 8)).astype(np.float32)
-            ref = net.forward(x, training=False)
-            fused = fuse_eval(net)
-            assert len(fused.layers) == 1
-            assert isinstance(fused.layers[0], FusedConvBNAct)
-            np.testing.assert_allclose(
-                fused.forward(x, training=False), ref, atol=1e-5)
-
-    def test_bn_act_chain_folds_to_affine(self):
-        gen = np.random.default_rng(9)
-        net = Sequential([BatchNorm2d(3), SiLU()], name="bnact")
-        net.forward(gen.normal(size=(4, 3, 8, 8)).astype(np.float32),
-                    training=True)
-        x = RNG.normal(size=(2, 3, 8, 8)).astype(np.float32)
-        ref = net.forward(x, training=False)
-        fused = fuse_eval(net)
-        assert len(fused.layers) == 1
-        np.testing.assert_allclose(
-            fused.forward(x, training=False), ref, atol=1e-5)
-
-    @pytest.mark.parametrize("slope", [1.5, -0.1])
-    def test_out_of_range_leaky_slope_stays_unfused(self, slope):
-        # max(x, slope*x) is not leaky_relu outside [0, 1]; the fuser
-        # keeps such an activation as its own layer.
-        gen = np.random.default_rng(4)
-        net = Sequential([Conv2d(3, 4, 3, rng=gen), BatchNorm2d(4),
-                          LeakyReLU(slope=slope)], name="leaky")
+        net = Sequential([Conv2d(3, 6, 3, rng=gen, bias=True),
+                          BatchNorm2d(6), SiLU()], name="chain")
         net.forward(gen.normal(size=(2, 3, 8, 8)).astype(np.float32),
                     training=True)
         x = RNG.normal(size=(2, 3, 8, 8)).astype(np.float32)
         ref = net.forward(x, training=False)
         fused = fuse_eval(net)
-        assert isinstance(fused.layers[-1], LeakyReLU)
+        assert isinstance(fused.layers[0], FusedConvBNAct)
+        assert not fused.layers[0].silu
+        assert fused.layers[1:] == net.layers[1:]
         np.testing.assert_allclose(
             fused.forward(x, training=False), ref, atol=1e-5)
 
@@ -131,7 +123,7 @@ def _conv_layer(kind):
         return conv
     weight, bias = fold_conv_bn(conv, None)
     return FusedConvBNAct(weight, bias, conv.stride, conv.padding,
-                          act="silu")
+                          silu=True)
 
 
 class TestConvInputErrors:

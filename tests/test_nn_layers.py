@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError
-from repro.nn.layers import (BatchNorm2d, Conv2d, Flatten, LeakyReLU,
-                             Linear, MaxPool2d, ReLU, SiLU, Upsample2x,
+from repro.errors import ModelError, ShapeError
+from repro.nn.fuse import FusedConvBNAct, fold_conv_bn
+from repro.nn.layers import (BatchNorm2d, Conv2d, Flatten, Linear,
+                             MaxPool2d, SiLU, Upsample2x, conv2d_eval,
                              sigmoid)
+from repro.nn.workspace import Workspace
 
 RNG = np.random.default_rng(0)
 
@@ -198,19 +200,9 @@ class TestBatchNorm:
 
 
 class TestActivations:
-    @pytest.mark.parametrize("layer_cls", [SiLU, ReLU, LeakyReLU])
+    @pytest.mark.parametrize("layer_cls", [SiLU])
     def test_input_grad(self, layer_cls):
         numeric_input_grad_check(layer_cls(), x4())
-
-    def test_relu_zeroes_negatives(self):
-        out = ReLU().forward(np.array([[-1.0, 2.0]], np.float32)
-                             .reshape(1, 1, 1, 2))
-        assert out.flatten().tolist() == [0.0, 2.0]
-
-    def test_leaky_slope(self):
-        out = LeakyReLU(0.1).forward(
-            np.array([-10.0], np.float32).reshape(1, 1, 1, 1))
-        assert out.item() == pytest.approx(-1.0)
 
     def test_silu_bitwise_equal_to_reference_formulas(self):
         # The earlier SiLU cached sigmoid(x) from the mask form and
@@ -302,8 +294,6 @@ class TestEvalCacheInvalidation:
         (lambda: Conv2d(3, 4, 3, rng=RNG), lambda: x4()),
         (lambda: BatchNorm2d(3), lambda: x4()),
         (lambda: SiLU(), lambda: x4()),
-        (lambda: ReLU(), lambda: x4()),
-        (lambda: LeakyReLU(), lambda: x4()),
         (lambda: MaxPool2d(2), lambda: x4()),
         (lambda: Upsample2x(), lambda: x4()),
         (lambda: Flatten(), lambda: x4()),
@@ -357,17 +347,23 @@ class TestLinearInputAliasing:
         assert not lin._x.flags.writeable
 
 
+def _fused(conv, ws=None, silu=True):
+    """Identity-folded FusedConvBNAct over ``conv``'s weights."""
+    weight, bias = fold_conv_bn(conv, None)
+    return FusedConvBNAct(weight, bias, conv.stride, conv.padding,
+                          silu=silu, workspace=ws)
+
+
 class TestConvWorkspacePath:
+    """conv2d_eval over a Workspace arena is bitwise the fresh-buffer
+    path; the arena is reused across frames and untouched by training."""
+
     def test_workspace_eval_matches_default(self):
-        from repro.nn.workspace import Workspace
-        ws = Workspace()
-        ref = Conv2d(3, 6, 3, stride=2, rng=np.random.default_rng(3))
-        conv = Conv2d(3, 6, 3, stride=2, rng=np.random.default_rng(3),
-                      workspace=ws)
+        conv = Conv2d(3, 6, 3, stride=2, rng=np.random.default_rng(3))
         x = x4(h=16, w=16)
         np.testing.assert_array_equal(
-            conv.forward(x, training=False),
-            ref.forward(x, training=False))
+            _fused(conv, Workspace()).forward(x, training=False),
+            _fused(conv).forward(x, training=False))
 
     @pytest.mark.parametrize("n,cin,cout,k,stride,pad,hw", [
         (1, 16, 1, 1, 1, 0, 5),    # depth-head shape: 1x1, one output
@@ -377,32 +373,37 @@ class TestConvWorkspacePath:
     ])
     def test_workspace_eval_matches_default_across_shapes(
             self, n, cin, cout, k, stride, pad, hw):
-        from repro.nn.workspace import Workspace
         ws = Workspace()
-        ref = Conv2d(cin, cout, k, stride=stride, padding=pad,
-                     rng=np.random.default_rng(3))
         conv = Conv2d(cin, cout, k, stride=stride, padding=pad,
-                      rng=np.random.default_rng(3), workspace=ws)
+                      rng=np.random.default_rng(3))
         x = RNG.normal(size=(n, cin, hw, hw)).astype(np.float32)
-        np.testing.assert_array_equal(
-            conv.forward(x, training=False),
-            ref.forward(x, training=False))
+        ref = conv.forward(x, training=False)
+        w2d = conv.weight.reshape(cout, -1)
+        for _ in range(2):  # second frame runs over the reused arena
+            out = conv2d_eval(x, w2d, conv.bias, k, stride, pad, ws=ws,
+                              owner=conv)
+            np.testing.assert_array_equal(out, ref)
+        for silu in (False, True):
+            np.testing.assert_array_equal(
+                _fused(conv, ws, silu).forward(x, training=False),
+                _fused(conv, None, silu).forward(x, training=False))
 
     def test_workspace_buffers_reused_across_frames(self):
-        from repro.nn.workspace import Workspace
         ws = Workspace()
-        conv = Conv2d(3, 6, 3, rng=RNG, workspace=ws)
-        conv.forward(x4(), training=False)
+        fused = _fused(Conv2d(3, 6, 3, rng=RNG), ws)
+        fused.forward(x4(), training=False)
         misses = ws.misses
-        conv.forward(x4(), training=False)
+        fused.forward(x4(), training=False)
         assert ws.misses == misses  # second frame: all hits
         assert ws.hits > 0
 
     def test_workspace_ignored_during_training(self):
-        from repro.nn.workspace import Workspace
         ws = Workspace()
-        conv = Conv2d(3, 6, 3, rng=RNG, workspace=ws)
+        conv = Conv2d(3, 6, 3, rng=RNG)
+        fused = _fused(conv, ws)
         x = x4()
         out = conv.forward(x, training=True)
+        with pytest.raises(ModelError):
+            fused.forward(x, training=True)
         assert ws.num_buffers == 0  # training path never touches arena
         assert conv.backward(np.ones_like(out)).shape == x.shape
