@@ -177,13 +177,6 @@ def _cmd_profile(args) -> int:
                       f"{r['delta_self_ms']:>+9.2f}")
         else:
             print("profiles are identical on every path")
-        if not base.get("deterministic", False) \
-                or not head.get("deterministic", False):
-            # Wall-clock documents are machine-speed evidence, not
-            # gateable metrics: show the diff, skip the gate.
-            print("wall-clock profile(s): self-time p50 gate skipped "
-                  "(diff shown for evidence only)")
-            return 0
         regressions = profile_regressions(
             base, head, max_regress_pct=args.max_regress_pct,
             min_self_ms=args.min_self_ms)

@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import BenchmarkError
-from ..geometry.bbox import BBox, boxes_to_array, iou_matrix
+from ..geometry.bbox import BBox
+from .tracker import greedy_iou_match
 
 #: State dimension: [cx, cy, s, r, vcx, vcy, vs].
 _DIM_X = 7
@@ -136,29 +137,19 @@ class KalmanTracker:
         dets = list(detections)
         if predictions and dets:
             tids = list(predictions)
-            p_arr = boxes_to_array([predictions[t] for t in tids])
-            d_arr = boxes_to_array(dets)
-            iou = iou_matrix(p_arr, d_arr)
-            used_t = np.zeros(len(tids), dtype=bool)
-            used_d = np.zeros(len(dets), dtype=bool)
-            while True:
-                masked = np.where(used_t[:, None] | used_d[None, :],
-                                  -1.0, iou)
-                i, j = np.unravel_index(int(masked.argmax()),
-                                        masked.shape)
-                if masked[i, j] < self.iou_threshold:
-                    break
+            pairs = greedy_iou_match([predictions[t] for t in tids], dets,
+                                     self.iou_threshold)
+            for i, j in pairs:
                 track = self._tracks[tids[i]]
                 track.filter.update(dets[j])
                 track.hits += 1
                 track.misses = 0
                 matched.append(track)
-                used_t[i] = used_d[j] = True
-                if used_t.all() or used_d.all():
-                    break
-            unmatched = [d for k, d in enumerate(dets) if not used_d[k]]
+            used_t = {i for i, _ in pairs}
+            used_d = {j for _, j in pairs}
+            unmatched = [d for k, d in enumerate(dets) if k not in used_d]
             for k, tid in enumerate(tids):
-                if not used_t[k]:
+                if k not in used_t:
                     self._tracks[tid].misses += 1
         else:
             unmatched = dets

@@ -9,7 +9,7 @@ detector at this scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,30 @@ class Track:
     def predict(self) -> BBox:
         """Constant-position prediction (frame-rate >> motion here)."""
         return self.box
+
+
+def greedy_iou_match(tracks: Sequence[BBox], detections: Sequence[BBox],
+                     iou_threshold: float) -> List[Tuple[int, int]]:
+    """Greedy IoU association: ``(track, detection)`` index pairs.
+
+    Repeatedly takes the best remaining pair of the IoU matrix until the
+    best left is below ``iou_threshold`` or either side is used up;
+    pairs come back in match order (highest IoU first).
+    """
+    iou = iou_matrix(boxes_to_array(tracks), boxes_to_array(detections))
+    used_t = np.zeros(len(tracks), dtype=bool)
+    used_d = np.zeros(len(detections), dtype=bool)
+    pairs: List[Tuple[int, int]] = []
+    while True:
+        masked = np.where(used_t[:, None] | used_d[None, :], -1.0, iou)
+        i, j = np.unravel_index(int(masked.argmax()), masked.shape)
+        if masked[i, j] < iou_threshold:
+            break
+        pairs.append((int(i), int(j)))
+        used_t[i] = used_d[j] = True
+        if used_t.all() or used_d.all():
+            break
+    return pairs
 
 
 class IoUTracker:
@@ -67,31 +91,20 @@ class IoUTracker:
         unmatched_dets = list(detections)
         if self._tracks and unmatched_dets:
             track_list = list(self._tracks.values())
-            t_arr = boxes_to_array([t.predict() for t in track_list])
-            d_arr = boxes_to_array(unmatched_dets)
-            iou = iou_matrix(t_arr, d_arr)
-            # Greedy: repeatedly take the best remaining pair.
-            used_t = np.zeros(len(track_list), dtype=bool)
-            used_d = np.zeros(len(unmatched_dets), dtype=bool)
-            while True:
-                masked = np.where(used_t[:, None] | used_d[None, :],
-                                  -1.0, iou)
-                i, j = np.unravel_index(int(masked.argmax()),
-                                        masked.shape)
-                if masked[i, j] < self.iou_threshold:
-                    break
+            pairs = greedy_iou_match([t.predict() for t in track_list],
+                                     unmatched_dets, self.iou_threshold)
+            for i, j in pairs:
                 track = track_list[i]
                 track.box = unmatched_dets[j]
                 track.hits += 1
                 track.misses = 0
                 matched.append(track)
-                used_t[i] = used_d[j] = True
-                if used_t.all() or used_d.all():
-                    break
+            used_t = {i for i, _ in pairs}
+            used_d = {j for _, j in pairs}
             unmatched_dets = [d for k, d in enumerate(unmatched_dets)
-                              if not used_d[k]]
+                              if k not in used_d]
             for k, track in enumerate(track_list):
-                if not used_t[k]:
+                if k not in used_t:
                     track.misses += 1
         else:
             for track in self._tracks.values():

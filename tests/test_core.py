@@ -10,7 +10,7 @@ from repro.core.deployment import (DeploymentAdvisor,
                                    PlacementConstraints)
 from repro.core.pipeline import PipelineConfig, VipPipeline
 from repro.core.suite import OcularoneBench
-from repro.core.tracker import IoUTracker
+from repro.core.tracker import IoUTracker, greedy_iou_match
 from repro.core.tradeoff import (accuracy_latency_tradeoff,
                                  best_under_deadline, pareto_front)
 from repro.errors import BenchmarkError, ConfigError
@@ -147,6 +147,16 @@ class TestTracker:
     def test_validation(self):
         with pytest.raises(BenchmarkError):
             IoUTracker(iou_threshold=1.5)
+
+    def test_greedy_match_takes_best_pair_first(self):
+        a, b = BBox(0, 0, 10, 10), BBox(40, 40, 50, 50)
+        far = BBox(100, 100, 110, 110)
+        # Track 1 overlaps a more than track 0 does; a goes to track 1,
+        # b to nobody above threshold, far to nobody at all.
+        tracks = [a.shifted(3, 0), a.shifted(1, 0), b.shifted(9, 9)]
+        pairs = greedy_iou_match(tracks, [far, a, b], 0.3)
+        assert pairs == [(1, 1)]
+        assert greedy_iou_match(tracks, [a, b], 0.001) == [(1, 0), (2, 1)]
 
 
 class TestAlerts:

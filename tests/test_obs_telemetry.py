@@ -461,6 +461,17 @@ class TestBenchTrack:
             trajectory.DEFAULT_OUT_DIR, "BENCH_baseline.json"))
         assert sorted(trajectory.run_suite()) == sorted(base["suite"])
 
+    def test_baseline_is_fresh(self, tmp_path):
+        """Recapturing the baseline reproduces the committed bytes."""
+        committed = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            trajectory.DEFAULT_OUT_DIR, "BENCH_baseline.json")
+        fresh = trajectory.write_point(str(tmp_path), "baseline",
+                                       trajectory.run_suite())
+        with open(committed, "rb") as fh_committed, \
+                open(fresh, "rb") as fh_fresh:
+            assert fh_fresh.read() == fh_committed.read()
+
     def test_previous_point_prefers_baseline(self, tmp_path):
         out_dir = str(tmp_path)
         trajectory.write_point(out_dir, "2026-01-01", {})

@@ -396,6 +396,26 @@ class TestCli:
         assert doc["targets"] == ["ablation_pipeline"]
         assert any("pipeline.run" in p for p in doc["paths"])
 
+    def test_profile_diff_refuses_wall_clock_document(self, tmp_path,
+                                                      capsys,
+                                                      monkeypatch):
+        # A `repro trace --json` document is wall-clock
+        # (deterministic: false): the diff table still prints, but the
+        # gate refuses it with a CLI error instead of passing.
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", "ablation_pipeline", "--json"]) == 0
+        wall = tmp_path / "wall.json"
+        wall.write_text(capsys.readouterr().out)
+        tick = tmp_path / "tick.json"
+        assert main(["profile", "nn_forward", "--out", str(tick)]) == 0
+        capsys.readouterr()
+        for pair in ((tick, wall), (wall, tick)):
+            rc = main(["profile", "--diff", str(pair[0]), str(pair[1])])
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert "base self" in captured.out  # diff shown first
+            assert "refusing to gate non-deterministic" in captured.err
+
     def test_trace_out_creates_parent_dirs(self, tmp_path):
         out = tmp_path / "nested" / "trace.json"
         jsonl = tmp_path / "also" / "nested" / "spans.jsonl"
