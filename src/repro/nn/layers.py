@@ -43,7 +43,6 @@ def sigmoid(x: np.ndarray,
     array.  This is the only sigmoid: training, the fused SiLU epilogue,
     the losses and the model heads all call it.
     """
-    x = np.asarray(x)
     t = np.empty(x.shape, x.dtype if x.dtype.kind == "f" else np.float64)
     np.negative(x, out=t)
     np.minimum(x, t, out=t)

@@ -97,7 +97,7 @@ class Sequential(Layer):
     # -- eval-time folding -------------------------------------------------
 
     def fuse(self, workspace=None):
-        """Eval-only folded copy of this network (Conv→BN, act epilogues).
+        """Eval-only folded copy of this network (Conv→BN, SiLU epilogues).
 
         Thin wrapper over :func:`repro.nn.fuse.fuse_eval`; the source
         network is left untouched and stays trainable.
