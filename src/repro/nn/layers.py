@@ -30,18 +30,17 @@ from .workspace import Workspace
 IM2COL_BLOCK_BYTES = 1 << 19
 
 
-def sigmoid(x: np.ndarray,
-            out: Optional[np.ndarray] = None) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function; float32 for any input.
 
     With ``t = exp(-|x|)`` (never overflows) the logistic is
     ``1 / (1 + t)`` for ``x >= 0`` and ``t / (1 + t)`` below: one
     ``exp`` of a non-positive value, in the input's precision, rounded
     to float32 once by the final divide.  ``-|x|`` is taken as
-    ``min(x, -x)``, which passes a NaN through with its own bits.  The result is written into
-    ``out`` (float32, ``x``'s shape; it may alias ``x``) or a fresh
-    array.  This is the only sigmoid: training, the fused SiLU epilogue,
-    the losses and the model heads all call it.
+    ``min(x, -x)``, which passes a NaN through with its own bits.  For
+    float32 input the divide writes into the numerator's own buffer.
+    This is the only sigmoid: training, the fused SiLU epilogue, the
+    losses and the model heads all call it.
     """
     t = np.empty(x.shape, x.dtype if x.dtype.kind == "f" else np.float64)
     np.negative(x, out=t)
@@ -49,9 +48,8 @@ def sigmoid(x: np.ndarray,
     np.exp(t, out=t)
     num = np.where(x >= 0, 1.0, t)
     np.add(t, 1.0, out=t)
-    if out is None:
-        out = num if num.dtype == np.float32 \
-            else np.empty(x.shape, dtype=np.float32)
+    out = num if num.dtype == np.float32 \
+        else np.empty(x.shape, dtype=np.float32)
     return np.divide(num, t, out=out)
 
 

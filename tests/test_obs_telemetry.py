@@ -453,21 +453,16 @@ class TestBenchTrack:
         regs = trajectory.compare_points(cur, base)
         assert [r["probe"] for r in regs] == [probe]
 
-    def test_suite_matches_committed_baseline(self):
-        # Every emitted probe is gated: the suite and the committed
-        # baseline name the same probes.
-        base = trajectory.load_point(os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            trajectory.DEFAULT_OUT_DIR, "BENCH_baseline.json"))
-        assert sorted(trajectory.run_suite()) == sorted(base["suite"])
-
-    def test_baseline_is_fresh(self, tmp_path):
-        """Recapturing the baseline reproduces the committed bytes."""
+    def test_suite_matches_committed_baseline(self, tmp_path):
+        """Every emitted probe is gated, and recapturing the baseline
+        reproduces the committed bytes."""
         committed = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             trajectory.DEFAULT_OUT_DIR, "BENCH_baseline.json")
-        fresh = trajectory.write_point(str(tmp_path), "baseline",
-                                       trajectory.run_suite())
+        suite = trajectory.run_suite()
+        assert sorted(suite) \
+            == sorted(trajectory.load_point(committed)["suite"])
+        fresh = trajectory.write_point(str(tmp_path), "baseline", suite)
         with open(committed, "rb") as fh_committed, \
                 open(fresh, "rb") as fh_fresh:
             assert fh_fresh.read() == fh_committed.read()
