@@ -21,15 +21,11 @@ import json
 import os
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..core.fleet import FleetConfig, FleetScheduler, SchedulingPolicy
 from ..errors import BenchmarkError
 from ..io.jsonio import dump_json
 from ..latency.runtime import SimulatedRuntime
-from ..obs import (Aggregator, QuantileSketch, TelemetryBus, TickClock,
-                   Tracer, use_telemetry, use_tracer)
-from ..rng import make_rng
+from ..obs import Aggregator, QuantileSketch, TelemetryBus, use_telemetry
 from ..serving import (ClusterConfig, ClusterSimulator, ReplicaSpec,
                        default_chaos_faults)
 
@@ -70,50 +66,6 @@ CHAOS_SEED = 7
 #: count, so the probe never depends on worker scheduling).
 FLEET_CELLS = 4
 FLEET_STREAMS = 8
-
-#: Mini-YOLO e2e forward probe: variant, per-frame reps.  The tick-clock
-#: probes are deterministic (span structure → tick counts) and gated.
-NN_E2E_FAMILY = "yolov8"
-NN_E2E_VARIANT = "n"
-NN_E2E_FRAMES = 3
-
-
-def _nn_forward_probes() -> Dict[str, dict]:
-    """Fused vs unfused mini-YOLO forward probes.
-
-    The tick-clock probes measure span *structure* (one 1 ms quantum per
-    instrumented clock read), so a change that adds spans or clock reads
-    to the eval hot path shows up as a deterministic, gateable
-    regression; per-layer probes attribute the ticks to the span names
-    (``nn.conv2d``/``nn.im2col``/``nn.gemm`` vs ``nn.fused_conv``).
-    """
-    out: Dict[str, dict] = {}
-    from ..models.yolo.mini import build_mini_yolo
-    x = make_rng(CHAOS_SEED, "bench-nn", "frames").standard_normal(
-        (1, 3, 64, 64)).astype(np.float32)
-    for mode in ("unfused", "fused"):
-        model = build_mini_yolo(NN_E2E_FAMILY, NN_E2E_VARIANT)
-        if mode == "fused":
-            model.fuse()
-        tracer = Tracer(clock=TickClock())
-        frame_sketch = QuantileSketch()
-        with use_tracer(tracer):
-            for _ in range(NN_E2E_FRAMES):
-                with tracer.span("nn.frame"):
-                    model.forward(x, training=False)
-        per_layer: Dict[str, QuantileSketch] = {}
-        for span in tracer.finished_spans():
-            ms = 1000.0 * span.duration_s
-            if span.name == "nn.frame":
-                frame_sketch.observe(ms)
-            elif span.name.startswith("nn."):
-                per_layer.setdefault(
-                    span.name.split(".", 1)[1],
-                    QuantileSketch()).observe(ms)
-        out[f"nn/forward_e2e@{mode}"] = frame_sketch.snapshot()
-        for lname, sk in sorted(per_layer.items()):
-            out[f"nn/layer_{lname}@{mode}"] = sk.snapshot()
-    return out
 
 
 def _fleet_sim_config(shards: int = 1):
@@ -201,10 +153,6 @@ def run_suite(n_frames: int = 150, fleet_drones: int = 8,
     fleet_rep = FleetSimulator(_fleet_sim_config()).run()
     suite[f"fleet/merged_e2e@{FLEET_CELLS}c"] = \
         fleet_rep.sketch.snapshot()
-
-    # NN probes: fused vs unfused mini-YOLO eval forward (tick-clock
-    # structural probes).
-    suite.update(_nn_forward_probes())
     return suite
 
 

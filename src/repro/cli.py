@@ -430,6 +430,7 @@ def _serve_sim_cluster(args) -> int:
 
 def _serve_sim_fleet(args) -> int:
     import json as _json
+    from dataclasses import replace
 
     from .serving import (AutoscalePolicy, FleetSimConfig,
                           FleetSimulator, ReplicaSpec,
@@ -504,8 +505,7 @@ def _serve_sim_fleet(args) -> int:
             failures.append(
                 f"{fleet.lost_requests} admitted requests lost")
         if cfg.shards > 1:
-            single = FleetSimulator(FleetSimConfig(
-                **{**_fleet_cfg_kwargs(cfg), "shards": 1})).run()
+            single = FleetSimulator(replace(cfg, shards=1)).run()
             if _json.dumps(single.summary(), sort_keys=True) \
                     != _json.dumps(s, sort_keys=True):
                 failures.append(
@@ -517,11 +517,6 @@ def _serve_sim_fleet(args) -> int:
             return 1
         print("checks passed")
     return 0
-
-
-def _fleet_cfg_kwargs(cfg) -> dict:
-    from dataclasses import fields
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def _cmd_lint(args) -> int:

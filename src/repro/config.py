@@ -106,8 +106,6 @@ class ReproConfig:
     extraction_fps: int = EXTRACTION_FPS
     #: Number of frames used per latency benchmark (paper §4.2: ≈1,000).
     latency_frames: int = 1000
-    #: Warm-up iterations discarded before timing.
-    latency_warmup: int = 50
 
     def validate(self) -> "ReproConfig":
         if self.seed < 0:
@@ -118,8 +116,8 @@ class ReproConfig:
             raise ConfigError(
                 f"extraction rate {self.extraction_fps} exceeds camera rate "
                 f"{self.camera_fps}")
-        if self.latency_frames <= 0 or self.latency_warmup < 0:
-            raise ConfigError("latency frame counts invalid")
+        if self.latency_frames <= 0:
+            raise ConfigError("latency frame count must be positive")
         self.train.validate()
         self.mini.validate()
         return self
@@ -135,7 +133,12 @@ def default_config() -> ReproConfig:
 
 
 def summarize(cfg: ReproConfig) -> Dict[str, Tuple]:
-    """Flat, printable summary of a config (used by reports)."""
+    """Flat, printable summary of a config (used by reports).
+
+    ``"latency"`` is (timed frames, warm-up frames discarded before
+    timing).
+    """
+    from .latency.sampler import WARMUP_FRAMES
     return {
         "seed": (cfg.seed,),
         "train": (cfg.train.epochs, cfg.train.batch_size,
@@ -143,5 +146,5 @@ def summarize(cfg: ReproConfig) -> Dict[str, Tuple]:
         "mini": (cfg.mini.image_size, cfg.mini.epochs,
                  cfg.mini.train_images),
         "rates": (cfg.camera_fps, cfg.extraction_fps),
-        "latency": (cfg.latency_frames, cfg.latency_warmup),
+        "latency": (cfg.latency_frames, WARMUP_FRAMES),
     }

@@ -57,14 +57,18 @@ class AdaptiveArm:
         return f"{self.model}@{self.device}[{where}]"
 
 
+#: Share of late frames in the window that forces a downswitch.
+VIOLATE_FRACTION_DOWN = 0.2
+#: Window p95 at or below this share of the budget allows an upswitch.
+HEADROOM_UP = 0.6
+
+
 @dataclass(frozen=True)
 class AdaptivePolicy:
     """Controller thresholds."""
 
     target_fps: float = 10.0
     window: int = 20                   # frames in the sliding window
-    violate_fraction_down: float = 0.2  # p(late) that forces a downswitch
-    headroom_up: float = 0.6           # window p95 ≤ 60 % of budget → up
     dwell_frames: int = 30             # min frames between switches
     #: After demoting an arm, do not retry it for this many frames
     #: (exponential-backoff-style flap damping; retry allows recovery
@@ -74,10 +78,6 @@ class AdaptivePolicy:
     def __post_init__(self) -> None:
         if self.target_fps <= 0 or self.window < 2:
             raise BenchmarkError("bad adaptive policy parameters")
-        if not 0 < self.violate_fraction_down <= 1:
-            raise BenchmarkError("violate fraction outside (0, 1]")
-        if not 0 < self.headroom_up < 1:
-            raise BenchmarkError("headroom threshold outside (0, 1)")
 
     @property
     def budget_ms(self) -> float:
@@ -169,19 +169,18 @@ class AdaptiveController:
         late_frac = float(np.mean(arr > budget))
         p95 = float(np.percentile(arr, 95))
 
-        if late_frac > self.policy.violate_fraction_down \
+        if late_frac > VIOLATE_FRACTION_DOWN \
                 and self._index + 1 < len(self.arms):
             self._demoted_at[self.current.name] = self._frame
             return self._switch(self._index + 1, "down",
                                 late_frac=late_frac, p95=p95)
-        if p95 <= self.policy.headroom_up * budget and self._index > 0:
+        if p95 <= HEADROOM_UP * budget and self._index > 0:
             # Climb to the *most accurate* arm that (a) is predicted to
             # fit the headroom criterion and (b) is not in demotion
             # backoff.
             for idx in range(self._index):
                 arm = self.arms[idx]
-                if self.expected_ms[arm.name] \
-                        > self.policy.headroom_up * budget:
+                if self.expected_ms[arm.name] > HEADROOM_UP * budget:
                     continue
                 demoted = self._demoted_at.get(arm.name)
                 if demoted is not None and self._frame - demoted \

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import BenchmarkError
@@ -32,6 +32,13 @@ from ..latency.estimator import LatencyEstimator
 from ..obs import current_telemetry
 from ..train.surrogate import AccuracySurrogate, SurrogateQuery
 from ..units import fps_to_period_ms
+
+#: Each drone's on-board accelerator and the detector it runs.
+EDGE_DEVICE = "orin-nano"
+EDGE_MODEL = "yolov8-n"
+#: The shared workstation GPU and the detector it runs.
+CLOUD_DEVICE = "rtx4090"
+CLOUD_MODEL = "yolov11-m"
 
 
 class SchedulingPolicy(enum.Enum):
@@ -47,13 +54,7 @@ class FleetConfig:
     num_drones: int = 4
     frame_rate: float = 10.0
     duration_s: float = 10.0
-    edge_device: str = "orin-nano"
-    edge_model: str = "yolov8-n"
-    cloud_device: str = "rtx4090"
-    cloud_model: str = "yolov11-m"
     network_rtt_ms: float = 25.0
-    #: Frames later than this past their period count as violations.
-    deadline_slack: float = 1.0
 
     def __post_init__(self) -> None:
         if self.num_drones < 1:
@@ -69,7 +70,8 @@ class FleetConfig:
 
     @property
     def deadline_ms(self) -> float:
-        return fps_to_period_ms(self.frame_rate) * self.deadline_slack
+        """Frames slower than one period count as violations."""
+        return fps_to_period_ms(self.frame_rate)
 
 
 @dataclass
@@ -117,14 +119,12 @@ class FleetScheduler:
             config if config is not None else FleetConfig()
         est = estimator or LatencyEstimator()
         sur = surrogate or AccuracySurrogate()
-        self.edge_exec_ms = est.median_ms(config.edge_model,
-                                          config.edge_device)
-        self.cloud_exec_ms = est.median_ms(config.cloud_model,
-                                           config.cloud_device)
+        self.edge_exec_ms = est.median_ms(EDGE_MODEL, EDGE_DEVICE)
+        self.cloud_exec_ms = est.median_ms(CLOUD_MODEL, CLOUD_DEVICE)
         self.edge_acc = sur.expected_accuracy(
-            SurrogateQuery(config.edge_model, "diverse"))
+            SurrogateQuery(EDGE_MODEL, "diverse"))
         self.cloud_acc = sur.expected_accuracy(
-            SurrogateQuery(config.cloud_model, "diverse"))
+            SurrogateQuery(CLOUD_MODEL, "diverse"))
 
     def _arrivals(self) -> List[Tuple[float, int]]:
         """(arrival_ms, drone_id) for every frame, time-ordered.
@@ -204,7 +204,7 @@ class FleetScheduler:
                 report.cloud_frames += 1
                 report.accuracy_weighted += self.cloud_acc
                 if bus.enabled:
-                    bus.emit(cfg.cloud_device, "exec", cloud_exec,
+                    bus.emit(CLOUD_DEVICE, "exec", cloud_exec,
                              arrival / 1000.0)
             else:
                 done = edge_done
@@ -230,13 +230,6 @@ class FleetScheduler:
         """Run the policy across fleet sizes (the saturation sweep)."""
         out = []
         for n in sizes:
-            cfg = FleetConfig(
-                num_drones=n, frame_rate=self.config.frame_rate,
-                duration_s=self.config.duration_s,
-                edge_device=self.config.edge_device,
-                edge_model=self.config.edge_model,
-                cloud_device=self.config.cloud_device,
-                cloud_model=self.config.cloud_model,
-                network_rtt_ms=self.config.network_rtt_ms)
+            cfg = replace(self.config, num_drones=n)
             out.append(FleetScheduler(cfg).run(policy))
         return out

@@ -51,6 +51,13 @@ from .tracker import IoUTracker
 #: Perceptor signature: frame → detected vest boxes.
 Perceptor = Callable[[object], List[BBox]]
 
+#: Frames the Kalman tracker may coast without a detection before the
+#: track (and with it, guidance) is abandoned.
+COAST_MAX_MISSES = 32
+#: Load shedding: when a hardened frame overruns its period, skip
+#: pose/depth for this many frames, then probe again.
+SHED_DWELL_FRAMES = 10
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -262,8 +269,7 @@ class VipPipeline:
         tracker_kind = config.tracker or (
             "kalman" if self.resilience.enabled else "iou")
         if tracker_kind == "kalman":
-            self.tracker = KalmanTracker(
-                max_misses=self.resilience.coast_max_misses)
+            self.tracker = KalmanTracker(max_misses=COAST_MAX_MISSES)
         else:
             self.tracker = IoUTracker()
         self.alert_policy = AlertPolicy()
@@ -345,7 +351,7 @@ class VipPipeline:
         lat = self._stage_latencies(len(frames))
         executor = StageExecutor(res, inj, period,
                                  offboard=cfg.offboard, tracer=tracer)
-        health = HealthMonitor(res.health)
+        health = HealthMonitor()
         report = PipelineReport()
         busy_until = 0.0
         prev_track_id: Optional[int] = None
@@ -375,8 +381,7 @@ class VipPipeline:
                     slo_tracker.record_available(False, arrival_s)
                 continue
 
-            shedding = res.enabled and res.load_shedding \
-                and i <= shed_until
+            shedding = res.enabled and i <= shed_until
             if tracer.enabled:
                 with tracer.span("frame", index=i) as frame_span:
                     total_ms, prev_track_id = self._process_frame(
@@ -393,9 +398,8 @@ class VipPipeline:
             processed_counter.inc()
             busy_until = arrival + total_ms
             processed_i += 1
-            if res.enabled and res.load_shedding \
-                    and total_ms > res.shed_enter_factor * period:
-                shed_until = i + res.shed_dwell_frames
+            if res.enabled and total_ms > period:
+                shed_until = i + SHED_DWELL_FRAMES
                 tracer.event("load_shed_enter", frame=i,
                              until=shed_until)
 
@@ -474,15 +478,11 @@ class VipPipeline:
             if boxes is None:
                 degraded = True
                 critical = primary is None
-                if res.fallbacks:
-                    self._note_fallback(report, tracer,
-                                        "detect:kalman_coast")
+                self._note_fallback(report, tracer, "detect:kalman_coast")
             if sensor_out:
                 degraded = True
                 critical = critical or primary is None
-                if res.fallbacks:
-                    self._note_fallback(report, tracer,
-                                        "sensor:kalman_coast")
+                self._note_fallback(report, tracer, "sensor:kalman_coast")
 
             if primary is not None and prev_track_id is not None \
                     and primary.track_id != prev_track_id:
@@ -537,9 +537,7 @@ class VipPipeline:
             if out.status.failed:
                 report._bump(report.stage_failures, "pose")
                 degraded = True
-                if res.fallbacks:
-                    self._note_fallback(report, tracer,
-                                        "pose:skip_fall_check")
+                self._note_fallback(report, tracer, "pose:skip_fall_check")
             else:
                 alert = self.alert_policy.observe(
                     AlertKind.FALL, bool(out.value), i,
@@ -570,30 +568,22 @@ class VipPipeline:
             report.retries += out.attempts - 1
             if bus.enabled:
                 bus.emit(cfg.device, "depth", out.cost_ms, arrival_s)
-            nearest: Optional[float] = None
-            have_range = False
             if out.status.failed:
                 report._bump(report.stage_failures, "depth")
                 degraded = True
-                if res.fallbacks:
-                    nearest = self._nearest_from_boxes(seen)
-                    have_range = True
-                    self._note_fallback(report, tracer,
-                                        "depth:bbox_range")
+                nearest = self._nearest_from_boxes(seen)
+                self._note_fallback(report, tracer, "depth:bbox_range")
             else:
                 nearest = out.value
-                have_range = True
-            if have_range:
-                near = (nearest is not None
-                        and nearest < self.alert_policy.
-                        obstacle_distance_m)
-                alert = self.alert_policy.observe(
-                    AlertKind.OBSTACLE, near, i,
-                    f"Obstacle at {nearest:.1f} m"
-                    if nearest is not None else "",
-                    distance_m=nearest)
-                if alert:
-                    report.alerts.append(alert)
+            near = (nearest is not None
+                    and nearest < self.alert_policy.obstacle_distance_m)
+            alert = self.alert_policy.observe(
+                AlertKind.OBSTACLE, near, i,
+                f"Obstacle at {nearest:.1f} m"
+                if nearest is not None else "",
+                distance_m=nearest)
+            if alert:
+                report.alerts.append(alert)
 
         # -- SLO burn: latency-budget pressure is degradation too ---
         slo_reason: Optional[str] = None

@@ -2,7 +2,7 @@
 
 Everything a chaos run needs: fault specs (:mod:`.spec`), a seeded
 injector (:mod:`.injector`), named scenarios (:mod:`.scenarios`), the
-guarded stage executor and hardening knobs (:mod:`.guard`), the
+guarded stage executor and its resilience policy (:mod:`.guard`), the
 NOMINAL → DEGRADED → SAFE_STOP health monitor (:mod:`.health`) and
 cross-run resilience metrics (:mod:`.metrics`).
 """

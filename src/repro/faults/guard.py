@@ -29,14 +29,23 @@ the chaos ablation contrasts against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import ConfigError, FaultError
 from ..obs import Tracer, current_tracer
-from .health import HealthConfig
 from .injector import FaultInjector
 from .spec import STAGES
+
+#: Per-stage timeout envelope: kill at ``WATCHDOG_ENVELOPE × EWMA`` of
+#: the stage's observed latency (anomaly detection, not a deadline).
+WATCHDOG_ENVELOPE = 2.5
+#: Never time out below this many frame periods (grace floor for
+#: stages whose nominal cost is tiny next to the frame budget).
+WATCHDOG_FLOOR_PERIODS = 0.5
+#: A failed attempt is charged this fraction of its latency (crashes
+#: fail part-way, not at completion).
+RETRY_COST_FACTOR = 0.5
 
 
 class StageStatus(enum.Enum):
@@ -107,65 +116,20 @@ class StageOutcome:
 class ResilienceConfig:
     """Hardening knobs for the guarded pipeline."""
 
-    #: Master switch: False reproduces the unguarded (seed) behaviour.
+    #: Master switch: False reproduces the unguarded (seed) behaviour:
+    #: no watchdog, retries, fallbacks or load shedding.
     enabled: bool = True
-    #: Engage fallbacks (coast / bbox ranging / stage skip) on failure.
-    fallbacks: bool = True
-    #: Abort a stage whose latency exceeds its adaptive timeout.
-    watchdog: bool = True
-    #: Per-stage timeout envelope: kill at ``envelope × EWMA`` of the
-    #: stage's observed latency (anomaly detection, not a deadline).
-    watchdog_envelopes: Mapping[str, float] = field(
-        default_factory=lambda: {"detect": 2.5, "pose": 2.5,
-                                 "depth": 2.5})
-    #: Never time out below this many frame periods (grace floor for
-    #: stages whose nominal cost is tiny next to the frame budget).
-    watchdog_floor_periods: float = 0.5
-    #: EWMA weight for the adaptive latency baseline.
-    baseline_beta: float = 0.3
-    #: Client deadline charged when the off-board link is down.
-    link_timeout_periods: float = 1.0
     #: Extra attempts after a crashed stage (transient-fault recovery).
     max_retries: int = 1
-    #: A failed attempt is charged this fraction of its latency
-    #: (crashes fail part-way, not at completion).
-    retry_cost_factor: float = 0.5
     #: Probability a crash persists across a retry (transient faults
     #: clear; sticky ones survive).
     crash_persistence: float = 0.4
-    #: Frames the Kalman tracker may coast without a detection before
-    #: the track (and with it, guidance) is abandoned.
-    coast_max_misses: int = 32
-    #: Load shedding: when a frame overruns ``shed_enter_factor ×
-    #: period``, skip pose/depth for ``shed_dwell_frames`` frames, then
-    #: probe again.
-    load_shedding: bool = True
-    shed_enter_factor: float = 1.0
-    shed_dwell_frames: int = 10
-    health: HealthConfig = field(default_factory=HealthConfig)
 
     def __post_init__(self) -> None:
-        for stage in STAGES:
-            if stage not in self.watchdog_envelopes:
-                raise ConfigError(f"no watchdog envelope for {stage!r}")
-            if self.watchdog_envelopes[stage] <= 1.0:
-                raise ConfigError("watchdog envelopes must exceed 1")
-        if self.watchdog_floor_periods < 0:
-            raise ConfigError("watchdog floor must be non-negative")
-        if not 0.0 < self.baseline_beta <= 1.0:
-            raise ConfigError("baseline_beta outside (0, 1]")
-        if self.link_timeout_periods <= 0:
-            raise ConfigError("link timeout must be positive")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
-        if not 0.0 < self.retry_cost_factor <= 1.0:
-            raise ConfigError("retry_cost_factor outside (0, 1]")
         if not 0.0 <= self.crash_persistence <= 1.0:
             raise ConfigError("crash_persistence outside [0, 1]")
-        if self.coast_max_misses < 1:
-            raise ConfigError("coast_max_misses must be >= 1")
-        if self.shed_enter_factor <= 0 or self.shed_dwell_frames < 1:
-            raise ConfigError("bad load-shedding parameters")
 
 
 class StageExecutor:
@@ -191,10 +155,8 @@ class StageExecutor:
         env = self._envelopes.get(stage)
         if env is None:
             env = self._envelopes[stage] = AdaptiveEnvelope(
-                envelope=self.resilience.watchdog_envelopes[stage],
-                floor_ms=self.resilience.watchdog_floor_periods
-                * self.period_ms,
-                beta=self.resilience.baseline_beta)
+                envelope=WATCHDOG_ENVELOPE,
+                floor_ms=WATCHDOG_FLOOR_PERIODS * self.period_ms)
         return env
 
     def timeout_ms(self, stage: str, base_cost_ms: float) -> float:
@@ -228,19 +190,19 @@ class StageExecutor:
 
         tracer = self.tracer
         if link_down:
-            # The request stalls until the client deadline fires.
+            # The request stalls until the client deadline (one frame
+            # period) fires.
             tracer.event("link_down", stage=stage, frame=frame_index)
             tracer.metrics.counter("guard.link_down").inc()
-            return StageOutcome(
-                stage, StageStatus.LINK_DOWN,
-                cost_ms=res.link_timeout_periods * self.period_ms)
+            return StageOutcome(stage, StageStatus.LINK_DOWN,
+                                cost_ms=self.period_ms)
 
         timeout = self.timeout_ms(stage, base_cost_ms)
         cost = 0.0
         attempts = 0
         for attempt in range(res.max_retries + 1):
             attempts += 1
-            if res.watchdog and attempt_cost > timeout:
+            if attempt_cost > timeout:
                 # A hang persists within the frame: abort, don't retry.
                 tracer.event("watchdog_timeout", stage=stage,
                              frame=frame_index, timeout_ms=timeout,
@@ -268,7 +230,7 @@ class StageExecutor:
                                  error=type(exc).__name__)
                     crashed = True
             if crashed:
-                cost += attempt_cost * res.retry_cost_factor
+                cost += attempt_cost * RETRY_COST_FACTOR
                 tracer.event("stage_retry", stage=stage,
                              frame=frame_index, attempt=attempt + 1)
                 tracer.metrics.counter("guard.retries").inc()

@@ -24,6 +24,13 @@ from ..geometry.bbox import BBox, clip_boxes, boxes_to_array, array_to_boxes
 from ..rng import coerce_rng
 from . import ops
 
+#: Strongest condition of each corruption, reached at severity 1.0.
+MAX_BLUR_SIGMA = 3.0
+MIN_BRIGHTNESS = 0.15
+MAX_TILT_DEG = 20.0
+MAX_CROP_FRACTION = 0.35
+MAX_NOISE_SIGMA = 0.12
+
 
 class AdversarialKind(enum.Enum):
     """The adversarial conditions enumerated in Table 1 row 5."""
@@ -49,11 +56,6 @@ class AugmentConfig:
     """
 
     severity: float = 0.5
-    max_blur_sigma: float = 3.0
-    min_brightness: float = 0.15
-    max_tilt_deg: float = 20.0
-    max_crop_fraction: float = 0.35
-    max_noise_sigma: float = 0.12
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.severity <= 1.0:
@@ -77,22 +79,22 @@ def apply_adversarial(
     h, w = img.shape[:2]
 
     if kind is AdversarialKind.LOW_LIGHT:
-        factor = 1.0 + s * (cfg.min_brightness - 1.0)
+        factor = 1.0 + s * (MIN_BRIGHTNESS - 1.0)
         out = ops.adjust_brightness(img, factor)
         # Low light also reduces contrast and raises sensor noise.
         out = ops.adjust_contrast(out, 1.0 - 0.4 * s)
-        out = ops.add_noise(out, 0.5 * cfg.max_noise_sigma * s, gen)
+        out = ops.add_noise(out, 0.5 * MAX_NOISE_SIGMA * s, gen)
         return out, list(boxes)
 
     if kind is AdversarialKind.BLUR:
-        sigma = s * cfg.max_blur_sigma
+        sigma = s * MAX_BLUR_SIGMA
         return ops.gaussian_blur(img, sigma), list(boxes)
 
     if kind is AdversarialKind.NOISE:
-        return ops.add_noise(img, s * cfg.max_noise_sigma, gen), list(boxes)
+        return ops.add_noise(img, s * MAX_NOISE_SIGMA, gen), list(boxes)
 
     if kind is AdversarialKind.TILT:
-        angle = float(gen.uniform(-1.0, 1.0)) * s * cfg.max_tilt_deg
+        angle = float(gen.uniform(-1.0, 1.0)) * s * MAX_TILT_DEG
         out = ops.rotate(img, angle)
         # Boxes stay approximately valid for small drone-roll angles; we
         # expand them by the rotation-induced slack and clip.
@@ -114,7 +116,7 @@ def apply_adversarial(
         return out, kept
 
     if kind is AdversarialKind.CROP:
-        frac = s * cfg.max_crop_fraction
+        frac = s * MAX_CROP_FRACTION
         dx = int(frac * w * float(gen.random()))
         dy = int(frac * h * float(gen.random()))
         x2 = w - int(frac * w * float(gen.random()))

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..config import ReproConfig, default_config
 from ..errors import BenchmarkError
-from .sampler import LatencySampler, SamplerConfig
+from .sampler import LatencySampler
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,9 @@ class InferenceRun:
 class SimulatedRuntime:
     """Runs the paper's latency benchmark over model/device grids."""
 
-    def __init__(self, config: Optional[ReproConfig] = None,
-                 sampler_config: SamplerConfig = SamplerConfig()) -> None:
+    def __init__(self, config: Optional[ReproConfig] = None) -> None:
         self.config = (config or default_config()).validate()
-        self.sampler = LatencySampler(sampler_config,
-                                      seed=self.config.seed)
+        self.sampler = LatencySampler(seed=self.config.seed)
 
     def run(self, model: str, device: str,
             n_frames: Optional[int] = None) -> InferenceRun:

@@ -32,26 +32,17 @@ from ..models.spec import ModelSpec, model_spec
 from ..obs import current_telemetry
 from ..rng import coerce_rng
 
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Noise/transient parameters."""
-
-    jitter_sigma_edge: float = 0.05
-    jitter_sigma_workstation: float = 0.10
-    warmup_frames: int = 25
-    warmup_peak_factor: float = 2.5      # first-frame slowdown
-    spike_probability: float = 0.004     # non-thermal tail events
-    spike_factor: float = 1.8
-    enable_thermal: bool = True
-
-    def __post_init__(self) -> None:
-        if self.jitter_sigma_edge < 0 or self.jitter_sigma_workstation < 0:
-            raise CalibrationError("jitter sigmas must be non-negative")
-        if self.warmup_peak_factor < 1.0 or self.spike_factor < 1.0:
-            raise CalibrationError("slowdown factors must be >= 1")
-        if not 0.0 <= self.spike_probability < 0.5:
-            raise CalibrationError("spike probability outside [0, 0.5)")
+#: Lognormal jitter σ by device class (the shared workstation is
+#: noisier than a dedicated edge board).
+JITTER_SIGMA_EDGE = 0.05
+JITTER_SIGMA_WORKSTATION = 0.10
+#: Warm-up frames :meth:`LatencySampler.sample` discards by default.
+WARMUP_FRAMES = 25
+#: First-frame slowdown the warm-up transient decays from.
+WARMUP_PEAK_FACTOR = 2.5
+#: Non-thermal tail events: per-frame probability and slowdown.
+SPIKE_PROBABILITY = 0.004
+SPIKE_FACTOR = 1.8
 
 
 @dataclass(frozen=True)
@@ -91,10 +82,8 @@ class LatencyHooks:
 class LatencySampler:
     """Draws per-frame latency vectors for a (model, device) pair."""
 
-    def __init__(self, config: SamplerConfig = SamplerConfig(),
-                 roofline: Optional[RooflineModel] = None,
+    def __init__(self, roofline: Optional[RooflineModel] = None,
                  seed: int = 7) -> None:
-        self.config = config
         self.roofline = roofline if roofline is not None else RooflineModel()
         self.seed = seed
         self._power = PowerModel()
@@ -115,31 +104,30 @@ class LatencySampler:
                 f"n_frames must be positive, got {n_frames}")
         mspec: ModelSpec = model_spec(model)
         dspec: DeviceSpec = device_spec(device)
-        cfg = self.config
         rng = coerce_rng(self.seed, "latency", model, device)
 
         median = self.roofline.median_latency_ms(mspec, dspec)
-        sigma = (cfg.jitter_sigma_edge if dspec.is_edge
-                 else cfg.jitter_sigma_workstation)
+        sigma = (JITTER_SIGMA_EDGE if dspec.is_edge
+                 else JITTER_SIGMA_WORKSTATION)
 
-        total = n_frames + (0 if include_warmup else cfg.warmup_frames)
+        total = n_frames + (0 if include_warmup else WARMUP_FRAMES)
         # Lognormal multiplicative jitter centred on the median.
         jitter = rng.lognormal(mean=0.0, sigma=sigma, size=total)
         samples = median * jitter
 
         # Warm-up transient: exponential decay from peak_factor to 1.
         decay = np.ones(total)
-        k = np.arange(min(cfg.warmup_frames, total))
-        decay[:len(k)] = 1.0 + (cfg.warmup_peak_factor - 1.0) \
-            * np.exp(-k / max(cfg.warmup_frames / 4.0, 1.0))
+        k = np.arange(min(WARMUP_FRAMES, total))
+        decay[:len(k)] = 1.0 + (WARMUP_PEAK_FACTOR - 1.0) \
+            * np.exp(-k / (WARMUP_FRAMES / 4.0))
         samples *= decay
 
         # Random non-thermal spikes.
-        spikes = rng.random(total) < cfg.spike_probability
-        samples[spikes] *= cfg.spike_factor
+        spikes = rng.random(total) < SPIKE_PROBABILITY
+        samples[spikes] *= SPIKE_FACTOR
 
         # Thermal throttling on edge devices under sustained load.
-        if cfg.enable_thermal and dspec.is_edge:
+        if dspec.is_edge:
             thermal = ThermalState(
                 # Passive boards run hot; scale capacity with board mass.
                 heat_capacity=max((dspec.weight_g or 400.0) / 8.0, 15.0))
@@ -157,7 +145,7 @@ class LatencySampler:
                              elapsed_s, unit="C")
 
         if not include_warmup:
-            samples = samples[cfg.warmup_frames:]
+            samples = samples[WARMUP_FRAMES:]
         samples = samples.astype(np.float64)
         if hooks is not None:
             samples = hooks.apply(samples)

@@ -63,22 +63,22 @@ def thermal_detect(temp_map: np.ndarray,
     return detections
 
 
+#: Minimum RGB/thermal IoU for two detections to confirm each other.
+AGREEMENT_IOU = 0.3
+#: Score bonus of a cross-confirmed detection (capped at 0.99).
+AGREEMENT_BONUS = 0.15
+
+
 @dataclass(frozen=True)
 class FusionConfig:
     """Late-fusion parameters."""
 
-    agreement_iou: float = 0.3
-    agreement_bonus: float = 0.15
     #: Score multiplier for detections only one modality saw — ranks
     #: cross-confirmed detections above confidently-wrong singletons.
     unconfirmed_penalty: float = 0.8
     ambient_c: float = 12.0      # night operation by default
 
     def __post_init__(self) -> None:
-        if not 0 < self.agreement_iou < 1:
-            raise ConfigError("agreement IoU outside (0, 1)")
-        if self.agreement_bonus < 0:
-            raise ConfigError("agreement bonus must be non-negative")
         if not 0 < self.unconfirmed_penalty <= 1:
             raise ConfigError("unconfirmed penalty outside (0, 1]")
 
@@ -136,11 +136,11 @@ def fuse_detections(rgb: Sequence[Detection],
     used_t = np.zeros(len(thermal), dtype=bool)
     for i, rdet in enumerate(rgb):
         j = int(iou[i].argmax()) if iou.shape[1] else -1
-        if j >= 0 and iou[i, j] >= config.agreement_iou \
+        if j >= 0 and iou[i, j] >= AGREEMENT_IOU \
                 and not used_t[j]:
             used_t[j] = True
             score = float(min(max(rdet.score, thermal[j].score)
-                              + config.agreement_bonus, 0.99))
+                              + AGREEMENT_BONUS, 0.99))
             # Union box: covers the thermal body blob and the RGB vest.
             box = BBox(min(rdet.box.x1, thermal[j].box.x1),
                        min(rdet.box.y1, thermal[j].box.y1),

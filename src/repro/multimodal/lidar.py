@@ -25,6 +25,9 @@ from ..dataset.renderer import RenderedFrame, SKY_DEPTH
 from ..errors import ConfigError
 from ..rng import coerce_rng
 
+#: Returns at or beyond this range are dropped (no return).
+MAX_RANGE_M = 40.0
+
 
 @dataclass(frozen=True)
 class LidarConfig:
@@ -32,7 +35,6 @@ class LidarConfig:
 
     num_beams: int = 64
     fov_deg: float = 90.0            # centred on the camera axis
-    max_range_m: float = 40.0
     range_noise_m: float = 0.03      # 1σ per-return noise
     dropout_prob: float = 0.02       # absorbing surfaces / specular miss
     quantisation_m: float = 0.01
@@ -42,8 +44,6 @@ class LidarConfig:
             raise ConfigError("need at least 2 beams")
         if not 0 < self.fov_deg <= 180:
             raise ConfigError(f"fov {self.fov_deg} outside (0, 180]")
-        if self.max_range_m <= 0:
-            raise ConfigError("max range must be positive")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ConfigError("dropout probability outside [0, 1)")
 
@@ -95,7 +95,7 @@ def simulate_lidar_scan(frame: RenderedFrame,
     ranges = frame.depth[scan_row, cols].astype(np.float64)
 
     # Beyond max range (or sky) → no return.
-    ranges[ranges >= min(config.max_range_m, SKY_DEPTH - 1e-3)] = np.nan
+    ranges[ranges >= min(MAX_RANGE_M, SKY_DEPTH - 1e-3)] = np.nan
     # Noise, dropout, quantisation.
     noise = gen.normal(0.0, config.range_noise_m, size=ranges.shape)
     ranges = ranges + noise

@@ -29,6 +29,8 @@ ENGINE_TEMP_C = 45.0
 AMBIENT_DAY_C = 22.0
 AMBIENT_NIGHT_C = 12.0
 SKY_TEMP_C = -5.0          # clear sky reads very cold in LWIR
+#: Optical blur of microbolometer arrays (pixels).
+BLUR_SIGMA = 0.5
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,12 @@ class ThermalConfig:
     ambient_c: float = AMBIENT_DAY_C
     #: NETD-like sensor noise (°C std).
     noise_c: float = 0.25
-    #: Optical blur of microbolometer arrays (pixels).
-    blur_sigma: float = 0.5
     #: Atmospheric attenuation length (metres) toward ambient.
     attenuation_m: float = 150.0
 
     def __post_init__(self) -> None:
-        if self.noise_c < 0 or self.blur_sigma < 0:
-            raise ConfigError("thermal noise/blur must be non-negative")
+        if self.noise_c < 0:
+            raise ConfigError("thermal noise must be non-negative")
         if self.attenuation_m <= 0:
             raise ConfigError("attenuation length must be positive")
 
@@ -87,11 +87,9 @@ class ThermalRenderer:
         temp = cfg.ambient_c + (temp - cfg.ambient_c) * fade
 
         # Sensor blur + NETD noise.
-        if cfg.blur_sigma > 0:
-            from ..image.ops import gaussian_blur
-            temp = gaussian_blur(
-                np.repeat(temp[:, :, None], 3, axis=2),
-                cfg.blur_sigma)[:, :, 0]
+        from ..image.ops import gaussian_blur
+        temp = gaussian_blur(np.repeat(temp[:, :, None], 3, axis=2),
+                             BLUR_SIGMA)[:, :, 0]
         if cfg.noise_c > 0:
             temp = temp + gen.normal(0.0, cfg.noise_c,
                                      size=temp.shape).astype(np.float32)

@@ -19,7 +19,7 @@ machinery:
   stuck in a throttled replica's queue past its envelope is withdrawn
   and re-routed;
 * **bounded retries** with deterministic exponential backoff
-  (``backoff_base_ms × 2^(attempt-1)``, no jitter — reruns are
+  (``BACKOFF_BASE_MS × 2^(attempt-1)``, no jitter — reruns are
   byte-identical);
 * **hedged re-dispatch** — once a request has been outstanding longer
   than the observed latency quantile, a second copy races on another
@@ -77,6 +77,17 @@ SNAPSHOT_SCHEMA = 2
 SHED_REASONS = ("queue_full", "deadline", "no_replica",
                 "retries_exhausted")
 
+#: Share of the deadline one batch may spend executing when a
+#: replica's batch cap is resolved from the deadline.
+BATCH_BUDGET_FRACTION = 0.5
+#: First retry backoff; each further retry doubles it.
+BACKOFF_BASE_MS = 2.0
+#: Adaptive per-request timeout: ``TIMEOUT_ENVELOPE × EWMA(e2e)``,
+#: floored at the deadline (the guard's rule).
+TIMEOUT_ENVELOPE = 2.5
+#: Completions needed before the hedge quantile is trusted.
+HEDGE_MIN_OBSERVATIONS = 20
+
 
 class RouterPolicy(enum.Enum):
     """How the router picks a replica for an admitted request."""
@@ -119,25 +130,17 @@ class ClusterConfig:
     num_streams: int = 8
     frame_rate: float = 10.0          # requests/s per stream
     duration_s: float = 10.0
+    #: ``None`` means one frame period.
     deadline_ms: Optional[float] = None
-    deadline_slack: float = 1.0
-    batch_budget_fraction: float = 0.5
     router: RouterPolicy = RouterPolicy.LEAST_LOADED
     #: Door policy on top of the bounded queues: predictive deadline
     #: screening on the chosen replica, SLO-burn shedding, or both.
     admission: AdmissionPolicy = AdmissionPolicy.DEADLINE
     #: Re-dispatch budget per request (crash requeues + timeouts).
     max_retries: int = 4
-    backoff_base_ms: float = 2.0
-    #: Adaptive per-request timeout: ``envelope × EWMA(e2e)``, floored
-    #: at ``timeout_floor_deadlines × deadline`` (the guard's rule).
-    timeout_envelope: float = 2.5
-    timeout_floor_deadlines: float = 1.0
     #: Hedge once a request is outstanding past this latency quantile
     #: of completed requests (``None`` disables hedging).
     hedge_quantile: Optional[float] = None
-    #: Completions needed before the hedge quantile is trusted.
-    hedge_min_observations: int = 20
     #: Server-level fault stream (``SERVER_*`` FaultSpec kinds).
     faults: Tuple[FaultSpec, ...] = ()
     arrival_jitter_ms: float = 0.0
@@ -165,24 +168,11 @@ class ClusterConfig:
             raise BenchmarkError("bad workload parameters")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise BenchmarkError("deadline must be positive")
-        if self.deadline_slack <= 0:
-            raise BenchmarkError("deadline slack must be positive")
-        if not 0.0 < self.batch_budget_fraction <= 1.0:
-            raise BenchmarkError(
-                "batch budget fraction must be in (0, 1]")
         if self.max_retries < 0:
             raise BenchmarkError("max_retries must be non-negative")
-        if self.backoff_base_ms <= 0:
-            raise BenchmarkError("backoff base must be positive")
-        if self.timeout_envelope <= 1.0:
-            raise BenchmarkError("timeout envelope must exceed 1")
-        if self.timeout_floor_deadlines <= 0:
-            raise BenchmarkError("timeout floor must be positive")
         if self.hedge_quantile is not None \
                 and not 0.0 < self.hedge_quantile < 1.0:
             raise BenchmarkError("hedge quantile outside (0, 1)")
-        if self.hedge_min_observations < 1:
-            raise BenchmarkError("hedge_min_observations must be >= 1")
         if self.arrival_jitter_ms < 0:
             raise BenchmarkError("arrival jitter must be non-negative")
         ServerFaultStream(faults).validate_replicas(len(replicas))
@@ -191,7 +181,7 @@ class ClusterConfig:
     def resolved_deadline_ms(self) -> float:
         if self.deadline_ms is not None:
             return self.deadline_ms
-        return fps_to_period_ms(self.frame_rate) * self.deadline_slack
+        return fps_to_period_ms(self.frame_rate)
 
     @property
     def offered_rps(self) -> float:
@@ -424,23 +414,14 @@ class ClusterSimulator:
         cfg = self.config
         self.deadline_ms = cfg.resolved_deadline_ms
         self.faults = ServerFaultStream(cfg.faults)
-        #: The live pool; grows via :meth:`add_replica`.  The config's
-        #: ``replicas`` tuple stays the initial pool.
-        self._live_specs: List[ReplicaSpec] = list(cfg.replicas)
-        self._models = [model_spec(r.model) for r in self._live_specs]
-        self._devices = [device_spec(r.device)
-                         for r in self._live_specs]
         #: Resolved batch cap per distinct spec: each resolution is a
         #: 64-point batch scan, and restore re-resolves the live pool.
         self._caps: Dict[ReplicaSpec, int] = {}
-        self.max_batch: List[int] = [
-            self._resolve_max_batch(spec)
-            for spec in self._live_specs]
-        self._lat_cache: List[Dict[int, float]] = [
-            {} for _ in self._live_specs]
-        self._envelope = AdaptiveEnvelope(
-            envelope=cfg.timeout_envelope,
-            floor_ms=cfg.timeout_floor_deadlines * self.deadline_ms)
+        #: The live pool; grows via :meth:`add_replica`.  The config's
+        #: ``replicas`` tuple stays the initial pool.
+        self._set_pool(cfg.replicas)
+        self._envelope = AdaptiveEnvelope(envelope=TIMEOUT_ENVELOPE,
+                                          floor_ms=self.deadline_ms)
         self._rng = make_rng(cfg.seed, "serving", "downtime")
         self._screens = cfg.admission in (AdmissionPolicy.DEADLINE,
                                           AdmissionPolicy.FULL)
@@ -468,12 +449,30 @@ class ClusterSimulator:
 
     # -- per-replica latency model -------------------------------------------
 
+    def _set_pool(self, specs: Sequence[ReplicaSpec]) -> None:
+        """Make ``specs`` the live pool."""
+        self._live_specs: List[ReplicaSpec] = []
+        self._models = []
+        self._devices = []
+        self.max_batch: List[int] = []
+        self._lat_cache: List[Dict[int, float]] = []
+        for spec in specs:
+            self._add_spec(spec)
+
+    def _add_spec(self, spec: ReplicaSpec) -> None:
+        """Append ``spec`` to the live pool with its latency model."""
+        self._live_specs.append(spec)
+        self._models.append(model_spec(spec.model))
+        self._devices.append(device_spec(spec.device))
+        self.max_batch.append(self._resolve_max_batch(spec))
+        self._lat_cache.append({})
+
     def _resolve_max_batch(self, spec: ReplicaSpec) -> int:
         if spec.max_batch is not None:
             return min(spec.max_batch, spec.queue_capacity)
         best = self._caps.get(spec)
         if best is None:
-            budget = self.deadline_ms * self.config.batch_budget_fraction
+            budget = self.deadline_ms * BATCH_BUDGET_FRACTION
             try:
                 best, _ = self.batching.best_batch_under_deadline(
                     spec.model, spec.device, budget,
@@ -558,21 +557,8 @@ class ClusterSimulator:
         if self._s is None:
             self._start()
         idx = len(self._live_specs)
-        self._live_specs.append(spec)
-        self._models.append(model_spec(spec.model))
-        self._devices.append(device_spec(spec.device))
-        self.max_batch.append(self._resolve_max_batch(spec))
-        self._lat_cache.append({})
-        self._s["replicas"].append(
-            {"batcher": self._make_batcher(idx), "in_flight": None,
-             "down_until": None, "crash_idx": 0, "retiring": False})
-        report = self._s["report"]
-        report.replicas.append(spec.label)
-        report.replica_completed[idx] = 0
-        report.replica_batches[idx] = 0
-        report.replica_busy_ms[idx] = 0.0
-        report.replica_down_ms[idx] = 0.0
-        report.replica_crashes[idx] = 0
+        self._add_spec(spec)
+        self._open_replica(idx)
         return idx
 
     def drain_replica(self, replica: int) -> int:
@@ -619,40 +605,41 @@ class ClusterSimulator:
 
     def _start(self) -> None:
         cfg = self.config
-        report = ClusterReport(
-            router=cfg.router.value,
-            replicas=[r.label for r in self._live_specs],
-            deadline_ms=self.deadline_ms)
+        report = ClusterReport(router=cfg.router.value, replicas=[],
+                               deadline_ms=self.deadline_ms)
         report.generated = len(self._arrivals)
         if self._slo is not None:
             report.shed["slo_burn"] = 0
         for stream in self._stream_ids:
             report.per_stream_completed[stream] = 0
             report.per_stream_shed[stream] = 0
-        for r in range(len(self._live_specs)):
-            report.replica_completed[r] = 0
-            report.replica_batches[r] = 0
-            report.replica_busy_ms[r] = 0.0
-            report.replica_down_ms[r] = 0.0
-            report.replica_crashes[r] = 0
         self._s = {
             "now": 0.0,
             "arr_i": 0,
             "last_done": (self._arrivals[0].arrival_ms
                           if self._arrivals else 0.0),
             "rr_cursor": 0,
-            "replicas": [
-                {"batcher": self._make_batcher(r),
-                 "in_flight": None,
-                 "down_until": None,
-                 "crash_idx": 0,
-                 "retiring": False}
-                for r in range(len(self._live_specs))],
+            "replicas": [],
             "meta": {},
             "retry": [],
             "crash_events": [],
             "report": report,
         }
+        for r in range(len(self._live_specs)):
+            self._open_replica(r)
+
+    def _open_replica(self, replica: int) -> None:
+        """Fresh run state and zeroed report counters for ``replica``."""
+        self._s["replicas"].append(
+            {"batcher": self._make_batcher(replica), "in_flight": None,
+             "down_until": None, "crash_idx": 0, "retiring": False})
+        report = self._s["report"]
+        report.replicas.append(self._live_specs[replica].label)
+        report.replica_completed[replica] = 0
+        report.replica_batches[replica] = 0
+        report.replica_busy_ms[replica] = 0.0
+        report.replica_down_ms[replica] = 0.0
+        report.replica_crashes[replica] = 0
 
     def _make_batcher(self, replica: int) -> MicroBatcher:
         spec = self._live_specs[replica]
@@ -714,7 +701,7 @@ class ClusterSimulator:
         if cfg.hedge_quantile is None:
             return None
         lat = self._s["report"].latencies_ms
-        if len(lat) < cfg.hedge_min_observations:
+        if len(lat) < HEDGE_MIN_OBSERVATIONS:
             return None
         return float(np.percentile(np.asarray(lat),
                                    100.0 * cfg.hedge_quantile))
@@ -744,8 +731,7 @@ class ClusterSimulator:
             self._shed(req, "retries_exhausted")
             del self._s["meta"][(req.stream, req.seq)]
             return
-        backoff = self.config.backoff_base_ms \
-            * 2.0 ** (meta["reroutes"] - 1)
+        backoff = BACKOFF_BASE_MS * 2.0 ** (meta["reroutes"] - 1)
         meta["timeout_at"] = None
         meta["hedge_at"] = None
         if crash_event is not None:
@@ -1174,11 +1160,7 @@ class ClusterSimulator:
         specs = [ReplicaSpec(model=m, device=d, queue_capacity=int(qc),
                              max_batch=None if mb is None else int(mb))
                  for m, d, qc, mb in snap["specs"]]
-        sim._live_specs = specs
-        sim._models = [model_spec(s.model) for s in specs]
-        sim._devices = [device_spec(s.device) for s in specs]
-        sim.max_batch = [sim._resolve_max_batch(s) for s in specs]
-        sim._lat_cache = [{} for _ in specs]
+        sim._set_pool(specs)
 
         def req(parts: Sequence[Union[int, float]]) -> Request:
             stream, seq, arrival, deadline = parts

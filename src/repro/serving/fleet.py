@@ -138,8 +138,8 @@ class FleetSimConfig:
     replicas_per_cell: Tuple[ReplicaSpec, ...] = (ReplicaSpec(),)
     frame_rate: float = 10.0
     duration_s: float = 10.0
+    #: ``None`` means one frame period.
     deadline_ms: Optional[float] = None
-    deadline_slack: float = 1.0
     router: RouterPolicy = RouterPolicy.LEAST_LOADED
     max_retries: int = 4
     arrival_jitter_ms: float = 0.0
@@ -171,8 +171,6 @@ class FleetSimConfig:
             raise ConfigError("bad workload parameters")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ConfigError("deadline must be positive")
-        if self.deadline_slack <= 0:
-            raise ConfigError("deadline slack must be positive")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
         if self.arrival_jitter_ms < 0:
@@ -189,7 +187,7 @@ class FleetSimConfig:
     def resolved_deadline_ms(self) -> float:
         if self.deadline_ms is not None:
             return self.deadline_ms
-        return fps_to_period_ms(self.frame_rate) * self.deadline_slack
+        return fps_to_period_ms(self.frame_rate)
 
 
 # -- fleet arrival schedule ---------------------------------------------------

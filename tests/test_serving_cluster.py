@@ -144,8 +144,6 @@ class TestClusterConfigValidation:
         with pytest.raises(BenchmarkError):
             ClusterConfig(max_retries=-1)
         with pytest.raises(BenchmarkError):
-            ClusterConfig(timeout_envelope=1.0)
-        with pytest.raises(BenchmarkError):
             ClusterConfig(hedge_quantile=1.0)
         with pytest.raises(BenchmarkError):
             ClusterConfig(arrival_jitter_ms=-1.0)

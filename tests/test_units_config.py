@@ -1,11 +1,13 @@
 """Tests for unit conversions and configuration validation."""
 
+import numpy as np
 import pytest
 
 from repro import units
 from repro.config import (MiniScale, ReproConfig, TrainConfig,
                           default_config, summarize)
 from repro.errors import ConfigError
+from repro.latency.sampler import LatencySampler
 
 
 class TestUnits:
@@ -100,3 +102,11 @@ class TestReproConfig:
     def test_summarize_keys(self):
         s = summarize(default_config())
         assert {"seed", "train", "mini", "rates", "latency"} <= set(s)
+
+    def test_summarized_warmup_is_what_sample_drops(self):
+        _, warmup = summarize(default_config())["latency"]
+        sampler = LatencySampler(seed=3)
+        timed = sampler.sample("yolov8-n", "orin-agx", 100)
+        full = sampler.sample("yolov8-n", "orin-agx", 100 + warmup,
+                              include_warmup=True)
+        np.testing.assert_array_equal(full[warmup:], timed)
