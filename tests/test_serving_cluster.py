@@ -24,6 +24,7 @@ from repro.obs import TelemetryBus, use_telemetry
 from repro.serving import (ClusterConfig, ClusterSimulator,
                            MicroBatcher, ReplicaSpec, Request,
                            RouterPolicy, default_chaos_faults)
+from repro.serving import cluster
 
 CHAOS = default_chaos_faults(10.0, 2)
 
@@ -394,3 +395,118 @@ class TestClusterObservability:
         assert ("replica-0", "exec") in stages
         assert ("replica-1", "downtime") in stages
         assert ("router", "retry") in stages
+
+
+# -- event order: the timer heap against the full rescan ---------------------
+
+_INF = float("inf")
+
+
+def _scan_next_event(sim):
+    """The earliest pending event by a full rescan of the loop state:
+    every replica, the retry backlog, the next arrival, and every
+    outstanding request's timeout and hedge timers.  The simulator's
+    own ``_next_event`` must pick the same event at every step."""
+    s = sim._s
+    best = (_INF, 99, -1, (-1, -1))
+
+    def consider(t, prio, replica=-1, key=(-1, -1)):
+        nonlocal best
+        cand = (t, prio, replica, key)
+        if cand < best:
+            best = cand
+
+    for r, rep in enumerate(s["replicas"]):
+        if rep["in_flight"] is not None:
+            consider(rep["in_flight"]["done_ms"], cluster._P_COMPLETE, r)
+        schedule = sim.faults.crash_schedule(r)
+        if rep["crash_idx"] < len(schedule):
+            consider(schedule[rep["crash_idx"]].start_ms,
+                     cluster._P_CRASH, r)
+        if rep["down_until"] is not None:
+            consider(rep["down_until"], cluster._P_RESTORE, r)
+        if rep["down_until"] is None and rep["in_flight"] is None \
+                and rep["batcher"].pending:
+            draining = s["arr_i"] >= len(sim._arrivals) \
+                and not s["retry"]
+            t_d = max(s["now"], rep["batcher"].next_dispatch_ms(
+                s["now"], draining=draining))
+            consider(t_d, cluster._P_DISPATCH, r)
+    if s["retry"]:
+        first = s["retry"][0]
+        consider(first[0], cluster._P_RETRY, key=(first[1], first[2]))
+    if s["arr_i"] < len(sim._arrivals):
+        consider(sim._arrivals[s["arr_i"]].arrival_ms, cluster._P_ARRIVAL)
+    for key, m in s["meta"].items():
+        if m["timeout_at"] is not None:
+            consider(m["timeout_at"], cluster._P_TIMEOUT, key=key)
+        if m["hedge_at"] is not None:
+            consider(m["hedge_at"], cluster._P_HEDGE, key=key)
+    return best
+
+
+class _ScanCheckedSimulator(ClusterSimulator):
+    """Asserts at every step that ``_next_event`` equals the rescan."""
+
+    def _next_event(self):
+        got = super()._next_event()
+        want = _scan_next_event(self)
+        assert got == want, f"event order diverged: {got} != {want}"
+        self.checked = getattr(self, "checked", 0) + 1
+        self.timer_events = getattr(self, "timer_events", 0) + (
+            got[1] in (cluster._P_TIMEOUT, cluster._P_HEDGE))
+        return got
+
+
+#: The cluster_chaos benchmark's shape: three heterogeneous replicas
+#: above capacity, crash/slowdown chaos, hedging at p95.
+HEDGED_CHAOS = ClusterConfig(
+    replicas=(ReplicaSpec("yolov8-m", "rtx4090"),
+              ReplicaSpec("yolov8-n", "orin-agx"),
+              ReplicaSpec("yolov8-n", "orin-nano")),
+    num_streams=24, frame_rate=20.0, duration_s=2.5, router="fastest",
+    hedge_quantile=0.95, faults=default_chaos_faults(2.5, 3),
+    arrival_jitter_ms=2.0, seed=301001)
+#: One replica, 32 streams, no door policy: a deep queue of requests
+#: with armed timeout timers.
+DEEP_QUEUE = ClusterConfig(replicas=(ReplicaSpec(),), num_streams=32,
+                           admission="none")
+#: Two replicas under the chaos ladder with hedging at p90.
+HEDGED_TWO = ClusterConfig(seed=7, faults=CHAOS, hedge_quantile=0.9,
+                           admission="none", num_streams=12)
+
+
+def _summary_blob(report):
+    return json.dumps(report.summary(), sort_keys=True)
+
+
+class TestEventOrder:
+    @pytest.mark.parametrize("cfg", [HEDGED_CHAOS, DEEP_QUEUE],
+                             ids=["hedged-chaos", "deep-queue"])
+    def test_matches_full_rescan(self, cfg):
+        sim = _ScanCheckedSimulator(cfg)
+        report = sim.run()
+        assert sim.checked > 1000 and sim.timer_events > 0
+        assert _summary_blob(report) \
+            == _summary_blob(ClusterSimulator(cfg).run())
+
+    def test_matches_full_rescan_through_scaling(self):
+        sim = _ScanCheckedSimulator(HEDGED_TWO)
+        assert sim.run(pause_at_ms=3000.0) is None
+        sim.add_replica(ReplicaSpec())
+        assert sim.run(pause_at_ms=6000.0) is None
+        sim.drain_replica(0)
+        report = sim.resume()
+        assert sim.timer_events > 0
+        assert report.conservation_holds()
+
+    def test_matches_full_rescan_after_restore(self):
+        whole = ClusterSimulator(HEDGED_TWO).run()
+        sim = ClusterSimulator(HEDGED_TWO)
+        assert sim.run(pause_at_ms=1500.0) is None  # mid hedge burst
+        blob = json.dumps(sim.snapshot(), sort_keys=True)
+        revived = _ScanCheckedSimulator.restore(HEDGED_TWO,
+                                                json.loads(blob))
+        resumed = revived.resume()
+        assert revived.timer_events > 0
+        assert _summary_blob(resumed) == _summary_blob(whole)
