@@ -37,6 +37,13 @@ RNG stream state, and the clock as pure data, and
 :meth:`ClusterSimulator.restore` + :meth:`ClusterSimulator.resume`
 continues byte-identically to an uninterrupted run (a machine-checked
 claim of ``exp_serving_chaos``).
+
+Each event costs work in the number of replicas, not of outstanding
+requests: request timeouts and hedges sit in a heap whose cleared
+entries go stale and are skipped lazily, and the hedge quantile is
+read off a sorted copy of the completed latencies.  Both are derived
+state: the snapshot leaves them out and :meth:`ClusterSimulator.
+restore` rebuilds them from the request metadata and the report.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from __future__ import annotations
 import bisect
 import copy
 import enum
+import heapq
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -87,6 +95,23 @@ BACKOFF_BASE_MS = 2.0
 TIMEOUT_ENVELOPE = 2.5
 #: Completions needed before the hedge quantile is trusted.
 HEDGE_MIN_OBSERVATIONS = 20
+
+
+def linear_quantile(ordered: Sequence[float], q: float) -> float:
+    """``np.percentile(ordered, 100 * q)`` over an ascending sequence,
+    bitwise: NumPy's ``linear`` method in plain floats (virtual index
+    ``(n - 1) * q``, then its two-sided lerp split at ``g >= 0.5``)."""
+    n = len(ordered)
+    v = (n - 1) * ((100.0 * q) / 100.0)
+    if v >= n - 1:
+        return float(ordered[-1])
+    i = int(v)
+    a, b = ordered[i], ordered[i + 1]
+    g = v - i
+    diff = b - a
+    if g >= 0.5:
+        return float(b - diff * (1 - g))
+    return float(a + diff * g)
 
 
 class RouterPolicy(enum.Enum):
@@ -393,6 +418,8 @@ class ClusterReport:
 # and restored runs replay identically).
 _P_COMPLETE, _P_CRASH, _P_RESTORE, _P_RETRY, _P_ARRIVAL, _P_TIMEOUT, \
     _P_HEDGE, _P_DISPATCH = range(8)
+#: The request-metadata field each timer-heap priority arms.
+_TIMER_FIELDS = {_P_TIMEOUT: "timeout_at", _P_HEDGE: "hedge_at"}
 
 
 class ClusterSimulator:
@@ -425,6 +452,7 @@ class ClusterSimulator:
         self._rng = make_rng(cfg.seed, "serving", "downtime")
         self._screens = cfg.admission in (AdmissionPolicy.DEADLINE,
                                           AdmissionPolicy.FULL)
+        self._hedges = cfg.hedge_quantile is not None
         #: Burn-rate state fed by completions (burn-shedding policies).
         self._slo: Optional[SloTracker] = SloTracker(
             serving_slo_policy(self.deadline_ms)) \
@@ -621,9 +649,11 @@ class ClusterSimulator:
             "rr_cursor": 0,
             "replicas": [],
             "meta": {},
+            "timers": [],
             "retry": [],
             "crash_events": [],
             "report": report,
+            "sorted_lat": [],
         }
         for r in range(len(self._live_specs)):
             self._open_replica(r)
@@ -697,14 +727,20 @@ class ClusterSimulator:
         return self._envelope.timeout_ms(self.deadline_ms)
 
     def _hedge_delay_ms(self) -> Optional[float]:
-        cfg = self.config
-        if cfg.hedge_quantile is None:
+        if not self._hedges:
             return None
-        lat = self._s["report"].latencies_ms
-        if len(lat) < HEDGE_MIN_OBSERVATIONS:
+        ordered = self._s["sorted_lat"]
+        if len(ordered) < HEDGE_MIN_OBSERVATIONS:
             return None
-        return float(np.percentile(np.asarray(lat),
-                                   100.0 * cfg.hedge_quantile))
+        return linear_quantile(ordered, self.config.hedge_quantile)
+
+    def _arm(self, key: Tuple[int, int], meta: dict, prio: int,
+             t_ms: float) -> None:
+        """Set a request's timeout or hedge timer and push it on the
+        timer heap.  Clearing a timer writes ``None`` and leaves its
+        entry to go stale."""
+        meta[_TIMER_FIELDS[prio]] = t_ms
+        heapq.heappush(self._s["timers"], (t_ms, prio, -1, key))
 
     def _place(self, req: Request, meta: dict, replica: int,
                t_ms: float, hedge: bool = False) -> None:
@@ -712,10 +748,13 @@ class ClusterSimulator:
         self._s["replicas"][replica]["batcher"].push(req)
         meta["locations"].append(["q", replica, t_ms, hedge])
         if len(meta["locations"]) == 1:
-            meta["timeout_at"] = t_ms + self._timeout_ms()
+            key = (req.stream, req.seq)
+            self._arm(key, meta, _P_TIMEOUT, t_ms + self._timeout_ms())
             delay = self._hedge_delay_ms()
-            meta["hedge_at"] = t_ms + delay \
-                if delay is not None else None
+            if delay is None:
+                meta["hedge_at"] = None
+            else:
+                self._arm(key, meta, _P_HEDGE, t_ms + delay)
         else:
             # Two copies racing: the race *is* the recovery mechanism.
             meta["timeout_at"] = None
@@ -778,11 +817,14 @@ class ClusterSimulator:
             consider(first[0], _P_RETRY, key=(first[1], first[2]))
         if s["arr_i"] < len(self._arrivals):
             consider(self._arrivals[s["arr_i"]].arrival_ms, _P_ARRIVAL)
-        for key, m in s["meta"].items():
-            if m["timeout_at"] is not None:
-                consider(m["timeout_at"], _P_TIMEOUT, key=key)
-            if m["hedge_at"] is not None:
-                consider(m["hedge_at"], _P_HEDGE, key=key)
+        timers = s["timers"]
+        while timers:
+            t, prio, _r, key = timers[0]
+            m = s["meta"].get(key)
+            if m is not None and m[_TIMER_FIELDS[prio]] == t:
+                consider(t, prio, key=key)
+                break
+            heapq.heappop(timers)  # cleared, re-armed or served
         return best
 
     #: Span name per event priority — the profiled event-loop surface.
@@ -858,6 +900,8 @@ class ClusterSimulator:
             report.per_stream_completed[req.stream] += 1
             report.latencies_ms.append(e2e)
             report.completion_ms.append(t)
+            if self._hedges:
+                bisect.insort(s["sorted_lat"], e2e)
             if t > req.deadline_ms:
                 report.violations += 1
             if won_hedge:
@@ -997,7 +1041,7 @@ class ClusterSimulator:
         alternatives = self._routable(t, exclude=(here,))
         if not alternatives:
             # No better home; keep waiting under a fresh envelope.
-            meta["timeout_at"] = t + self._timeout_ms()
+            self._arm(key, meta, _P_TIMEOUT, t + self._timeout_ms())
             return
         if meta["reroutes"] >= self.config.max_retries:
             # Budget spent: stop churning, let the current queue serve
@@ -1084,8 +1128,10 @@ class ClusterSimulator:
     def snapshot(self) -> dict:
         """Pure-data checkpoint of the event loop: clock, queues,
         in-flight batches, retry backlog, report accumulators, and the
-        downtime RNG stream state.  Deep-copied, so continuing the
-        live run never mutates a taken snapshot."""
+        downtime RNG stream state.  Every container is built fresh, so
+        continuing the live run never mutates a taken snapshot.  The
+        timer heap and the sorted latency history are derived state
+        and left out; :meth:`restore` rebuilds them."""
         if self._s is None:
             raise BenchmarkError("snapshot before run() started")
         s = self._s
@@ -1130,12 +1176,11 @@ class ClusterSimulator:
             "rng": self._rng.bit_generator.state,
             "envelope_baseline": self._envelope.baseline,
         }
-        snap = copy.deepcopy(snap)
         from ..nn.sanitizer import assert_tree_disjoint, sanitizer_active
         if sanitizer_active():
             # A snapshot aliasing live state (e.g. an RNG state array
-            # the deepcopy missed) would mutate retroactively as the
-            # run continues; prove every ndarray leaf is disjoint.
+            # shared with the generator) would mutate retroactively as
+            # the run continues; prove every ndarray leaf is disjoint.
             assert_tree_disjoint(
                 snap, {"rng": self._rng.bit_generator.state,
                        "report": asdict(s["report"])},
@@ -1187,6 +1232,11 @@ class ClusterSimulator:
         for key_parts, m in snap["meta"]:
             m["request"] = req(m["request"])
             meta[(int(key_parts[0]), int(key_parts[1]))] = m
+        timers = [(m[name], prio, -1, key)
+                  for key, m in meta.items()
+                  for prio, name in _TIMER_FIELDS.items()
+                  if m[name] is not None]
+        heapq.heapify(timers)
         report_fields = snap["report"]
         # A JSON round-trip stringifies int dict keys; undo that.
         for name in ("per_stream_completed", "per_stream_shed",
@@ -1209,9 +1259,12 @@ class ClusterSimulator:
             "rr_cursor": snap["rr_cursor"],
             "replicas": replicas,
             "meta": meta,
+            "timers": timers,
             "retry": [list(e) for e in snap["retry"]],
             "crash_events": snap["crash_events"],
             "report": report,
+            "sorted_lat": (sorted(report.latencies_ms)
+                           if sim._hedges else []),
         }
         sim._rng.bit_generator.state = snap["rng"]
         sim._envelope.baseline = snap["envelope_baseline"]

@@ -14,7 +14,9 @@ The load-bearing guarantees of :mod:`repro.serving.cluster`:
 """
 
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from repro.errors import BenchmarkError, ConfigError
@@ -25,6 +27,7 @@ from repro.serving import (ClusterConfig, ClusterSimulator,
                            MicroBatcher, ReplicaSpec, Request,
                            RouterPolicy, default_chaos_faults)
 from repro.serving import cluster
+from repro.serving.cluster import linear_quantile
 
 CHAOS = default_chaos_faults(10.0, 2)
 
@@ -358,14 +361,42 @@ class TestCheckpointRestore:
             == json.dumps(whole.summary(), sort_keys=True)
         assert resumed.latencies_ms == whole.latencies_ms
 
-    def test_snapshot_does_not_alias_live_state(self):
-        cfg = ClusterConfig(seed=7, faults=CHAOS)
+    @pytest.mark.parametrize("pause_ms", [1500.0, 2000.0])
+    def test_hedged_restore_is_byte_identical(self, pause_ms):
+        # Paused with hedge and timeout timers armed: the resumed run
+        # fires them off the rebuilt timer heap, and places new copies
+        # with hedge delays read off the rebuilt latency history.
+        cfg = ClusterConfig(seed=7, faults=CHAOS, hedge_quantile=0.95,
+                            admission="none", num_streams=12)
+        whole = ClusterSimulator(cfg).run()
         sim = ClusterSimulator(cfg)
-        sim.run(pause_at_ms=3000.0)
-        snap = sim.snapshot()
-        before = json.dumps(snap, sort_keys=True)
-        sim.resume()  # keep running the live sim
-        assert json.dumps(snap, sort_keys=True) == before
+        assert sim.run(pause_at_ms=pause_ms) is None
+        snap = json.loads(json.dumps(sim.snapshot(), sort_keys=True))
+        armed = [m for _key, m in snap["meta"]]
+        assert any(m["hedge_at"] is not None for m in armed)
+        assert any(m["timeout_at"] is not None for m in armed)
+        revived = ClusterSimulator.restore(cfg, snap)
+        assert revived.live_report.completed >= 20  # hedging is live
+        resumed = revived.resume()
+        assert resumed.hedged > sim.live_report.hedged
+        assert json.dumps(resumed.summary(), sort_keys=True) \
+            == json.dumps(whole.summary(), sort_keys=True)
+        assert resumed.latencies_ms == whole.latencies_ms
+
+    def test_snapshot_does_not_alias_live_state(self):
+        plain = ClusterConfig(seed=7, faults=CHAOS)
+        hedged = ClusterConfig(seed=7, faults=CHAOS, hedge_quantile=0.9)
+        for cfg, scale in ((plain, False), (hedged, False),
+                           (plain, True)):
+            sim = ClusterSimulator(cfg)
+            sim.run(pause_at_ms=3000.0)
+            if scale:
+                sim.add_replica(ReplicaSpec())
+                assert sim.run(pause_at_ms=3500.0) is None
+            snap = sim.snapshot()
+            before = json.dumps(snap, sort_keys=True)
+            sim.resume()  # keep running the live sim
+            assert json.dumps(snap, sort_keys=True) == before
 
     def test_snapshot_guards(self):
         sim = ClusterSimulator(ClusterConfig(seed=7))
@@ -395,6 +426,47 @@ class TestClusterObservability:
         assert ("replica-0", "exec") in stages
         assert ("replica-1", "downtime") in stages
         assert ("router", "retry") in stages
+
+
+# -- hedge quantile: sorted history against np.percentile --------------------
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+class TestLinearQuantile:
+    def test_matches_numpy_percentile_bitwise(self):
+        rng = np.random.default_rng(2026)
+        checked = 0
+        for trial in range(120):
+            n = (20, 2000)[trial] if trial < 2 \
+                else int(rng.integers(20, 2001))
+            kind = trial % 3
+            if kind == 0:    # continuous latencies
+                hist = rng.lognormal(3.0, 0.6, n)
+            elif kind == 1:  # few distinct values, heavily repeated
+                pool = rng.uniform(5.0, 200.0, max(2, n // 25))
+                hist = rng.choice(pool, n)
+            else:            # rounded: ties between neighbours
+                hist = np.round(rng.uniform(5.0, 80.0, n), 1)
+            hist = [float(v) for v in hist]
+            ordered = sorted(hist)
+            qs = [0.5, 0.9, 0.95, 0.99] + [float(q) for q in
+                                           rng.uniform(0.0, 1.0, 6)]
+            for q in qs:
+                want = float(np.percentile(np.asarray(hist), 100.0 * q))
+                assert _bits(linear_quantile(ordered, q)) == _bits(want), \
+                    (n, q)
+                checked += 1
+        assert checked == 1200
+
+    def test_edge_quantiles(self):
+        hist = [3.0, 1.0, 2.0] * 10
+        ordered = sorted(hist)
+        for q in (1e-12, 0.5, 1.0 - 1e-16, 1.0 - 2.0 ** -53):
+            want = float(np.percentile(np.asarray(hist), 100.0 * q))
+            assert _bits(linear_quantile(ordered, q)) == _bits(want)
 
 
 # -- event order: the timer heap against the full rescan ---------------------
