@@ -11,8 +11,9 @@ Two scopes exist:
 
 Rules self-register at import via :func:`register`; the engine asks
 :func:`all_rules` for the active set.  Every rule carries a stable id
-(``RL0xx`` determinism, ``RL1xx`` contract), a default severity and a
-one-line rationale that the reporters and docs reuse.
+(``RL0xx`` determinism, ``RL1xx`` contract, ``RL2xx`` aliasing,
+``RL3xx`` hygiene), a default severity and a one-line rationale that
+the reporters and docs reuse.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def all_rules(select: Optional[List[str]] = None) -> List[Rule]:
     """
     # Rule modules register on import; pull them in lazily to avoid an
     # import cycle (they import this module for the base class).
-    from . import aliasing, contract, determinism  # noqa: F401
+    from . import aliasing, contract, determinism, hygiene  # noqa: F401
     if select is None:
         ids = sorted(_REGISTRY)
     else:
@@ -158,13 +159,13 @@ def all_rules(select: Optional[List[str]] = None) -> List[Rule]:
 
 def rule_ids() -> List[str]:
     """Sorted ids of every registered rule."""
-    from . import aliasing, contract, determinism  # noqa: F401
+    from . import aliasing, contract, determinism, hygiene  # noqa: F401
     return sorted(_REGISTRY)
 
 
 def get_rule(rule_id: str) -> Rule:
     """Instantiate one rule by id."""
-    from . import aliasing, contract, determinism  # noqa: F401
+    from . import aliasing, contract, determinism, hygiene  # noqa: F401
     if rule_id not in _REGISTRY:
         raise ConfigError(
             f"unknown rule id {rule_id!r}; known: {sorted(_REGISTRY)}")

@@ -20,7 +20,7 @@ from ...dataset.builder import DatasetBuilder
 from ...image.augment import AdversarialKind, AugmentConfig, \
     apply_adversarial
 from ...models.registry import build_mini_model
-from ...models.yolo.train import DetectorTrainer, frames_to_arrays
+from ...models.yolo.train import DetectorTrainer
 from ...rng import make_rng
 from ...train.eval import evaluate_vip_detection
 from ...models.yolo.postprocess import decode_predictions

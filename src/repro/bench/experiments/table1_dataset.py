@@ -8,7 +8,7 @@ annotated-image counts, asserting the paper's stated aggregates (mixed
 from __future__ import annotations
 
 from ...dataset.builder import DatasetBuilder
-from ...dataset.stats import CATEGORY_TITLES, paper_totals, table1_rows
+from ...dataset.stats import paper_totals, table1_rows
 from ...dataset.taxonomy import TABLE1_COUNTS
 from ..runner import ExperimentResult
 

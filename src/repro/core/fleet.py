@@ -22,7 +22,6 @@ crossover the scheduler exists to manage.
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 

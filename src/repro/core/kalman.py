@@ -13,7 +13,7 @@ Pure NumPy; the filter is the textbook linear KF with per-track state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np

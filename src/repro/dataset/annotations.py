@@ -13,7 +13,7 @@ exporting the training set for Ultralytics-style consumption.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import AnnotationError
 from ..geometry.bbox import BBox

@@ -15,9 +15,7 @@ records it actually touches (the paper itself benchmarks latency on a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Iterator, List, Sequence
 
 from ..errors import DatasetError
 from ..rng import make_rng

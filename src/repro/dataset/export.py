@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..errors import SerializationError
 from ..io.yamlish import dump_yaml
 from .annotations import (CLASS_NAMES, AnnotatedImage, to_roboflow_record,
                           to_yolo_label)
-from .builder import DatasetIndex, ImageRecord
+from .builder import DatasetIndex
 from .renderer import SceneRenderer
 
 

@@ -16,12 +16,11 @@ inconsistency).  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import DatasetError
-from ..geometry.bbox import BBox
 from .builder import DatasetIndex
 from .renderer import RenderedFrame, SceneRenderer
 

@@ -16,9 +16,7 @@ curated* (stratified) one; :func:`random_sample` implements the former.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Tuple
 
 from ..errors import DatasetError
 from ..rng import coerce_rng

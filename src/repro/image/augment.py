@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigError
-from ..geometry.bbox import BBox, clip_boxes, boxes_to_array, array_to_boxes
+from ..geometry.bbox import BBox, clip_boxes, boxes_to_array
 from ..rng import coerce_rng
 from . import ops
 

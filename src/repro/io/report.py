@@ -6,7 +6,7 @@ EXPERIMENTS.md and the bench stdout share one formatting path.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 from ..errors import BenchmarkError
 

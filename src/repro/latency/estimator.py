@@ -7,7 +7,7 @@ delegates to :class:`~repro.hardware.roofline.RooflineModel`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..hardware.registry import BENCHMARK_DEVICES, device_spec
 from ..hardware.roofline import LatencyBreakdown, RooflineModel

@@ -9,7 +9,7 @@ sample vector and summary statistics (median, mean, p95, p99, min, max).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np

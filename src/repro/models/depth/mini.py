@@ -11,7 +11,7 @@ paper benchmarks, is unchanged.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 

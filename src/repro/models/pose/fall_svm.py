@@ -10,7 +10,7 @@ operating on the translation/scale-invariant posture features from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -23,7 +23,7 @@ import numpy as np
 from ...errors import TrainingError
 from ...geometry.bbox import BBox
 from ...nn.layers import sigmoid
-from ...nn.losses import bce_with_logits, smooth_l1
+from ...nn.losses import bce_with_logits
 from ...nn.network import clip_grads_
 from ...nn.optim import Adam, CosineWarmupSchedule
 from ...rng import make_rng

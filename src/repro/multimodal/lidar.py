@@ -17,7 +17,7 @@ Monodepth2 is scale-ambiguous).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..errors import ShapeError
-from .layers import BatchNorm2d, Conv2d, Layer, MaxPool2d, SiLU
+from .layers import BatchNorm2d, Conv2d, Layer, SiLU
 from .sanitizer import freeze
 
 

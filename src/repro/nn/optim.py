@@ -9,7 +9,7 @@ optimisation guide.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

@@ -19,7 +19,7 @@ inclusive time by construction — the invariant the trace CLI asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import SerializationError
 from ..io.jsonio import dump_json, dump_jsonl

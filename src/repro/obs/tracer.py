@@ -25,7 +25,7 @@ import contextlib
 import contextvars
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..errors import ConfigError
 from .metrics import NULL_METRICS, MetricsRegistry

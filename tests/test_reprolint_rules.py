@@ -1,4 +1,4 @@
-"""Fixture-snippet tests for every determinism rule (RL001–RL005).
+"""Fixture-snippet tests for every single-file rule (RL001–RL005, RL301).
 
 Each rule gets the same treatment: the violation fires on a minimal
 snippet, a suppression comment silences it, and the rule's allowlist
@@ -400,7 +400,6 @@ class TestSuppressionHygiene:
     def test_suppression_is_rule_specific(self, tmp_path):
         res = lint_snippet(tmp_path, """
             import time
-            import random
             def now():
                 # reprolint: disable=RL002 wrong rule on purpose
                 return time.time()
@@ -444,3 +443,66 @@ class TestEngine:
         lines = [(v.path, v.line, v.col, v.rule_id)
                  for v in first.violations]
         assert lines == sorted(lines)
+
+
+class TestUnusedImport:
+    def test_unused_import_fires(self, tmp_path):
+        res = lint_snippet(tmp_path, """
+            import os
+            from typing import Dict, List
+            def keys(d: Dict) -> int:
+                return len(d)
+            """)
+        assert rule_ids_of(res) == ["RL301", "RL301"]
+        assert [v.line for v in res.violations] == [2, 3]
+        assert "'os'" in res.violations[0].message
+        assert "'List'" in res.violations[1].message
+        assert res.exit_code == 1  # a warning, failing under --strict
+
+    def test_name_in_all_counts_as_used(self, tmp_path):
+        res = lint_snippet(tmp_path, """
+            from os.path import join
+            __all__ = ["join"]
+            """)
+        assert rule_ids_of(res) == []
+
+    def test_annotation_only_use_counts(self, tmp_path):
+        res = lint_snippet(tmp_path, """
+            from __future__ import annotations
+            from typing import TYPE_CHECKING, Optional
+            if TYPE_CHECKING:
+                from collections import OrderedDict
+            def first(x: Optional[int], od: "OrderedDict") -> None:
+                return None
+            """)
+        assert rule_ids_of(res) == []
+
+    def test_dotted_import_and_alias(self, tmp_path):
+        res = lint_snippet(tmp_path, """
+            import os.path
+            import numpy as np
+            def here():
+                return os.path.abspath(".")
+            """)
+        assert rule_ids_of(res) == ["RL301"]
+        assert "'np'" in res.violations[0].message
+
+    def test_function_level_imports_are_not_checked(self, tmp_path):
+        res = lint_snippet(tmp_path, """
+            def lazy():
+                import json  # noqa: F401
+                return 1
+            """)
+        assert rule_ids_of(res) == []
+
+    def test_package_init_is_skipped(self, tmp_path):
+        res = lint_snippet(tmp_path, """
+            from os.path import join
+            """, name="pkg/__init__.py")
+        assert rule_ids_of(res) == []
+
+    def test_suppression_silences(self, tmp_path):
+        res = lint_snippet(tmp_path, """
+            import os  # reprolint: disable=RL301 imported for its side effect
+            """)
+        assert rule_ids_of(res) == []
