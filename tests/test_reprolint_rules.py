@@ -500,9 +500,3 @@ class TestUnusedImport:
             from os.path import join
             """, name="pkg/__init__.py")
         assert rule_ids_of(res) == []
-
-    def test_suppression_silences(self, tmp_path):
-        res = lint_snippet(tmp_path, """
-            import os  # reprolint: disable=RL301 imported for its side effect
-            """)
-        assert rule_ids_of(res) == []
