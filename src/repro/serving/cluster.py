@@ -38,9 +38,9 @@ RNG stream state, and the clock as pure data, and
 continues byte-identically to an uninterrupted run (a machine-checked
 claim of ``exp_serving_chaos``).
 
-Each event costs work in the number of replicas, not of outstanding
+Finding the next event scans the replicas, not the outstanding
 requests: request timeouts and hedges sit in a heap whose cleared
-entries go stale and are skipped lazily, and the hedge quantile is
+entries go stale and are popped lazily, and the hedge quantile is
 read off a sorted copy of the completed latencies.  Both are derived
 state: the snapshot leaves them out and :meth:`ClusterSimulator.
 restore` rebuilds them from the request metadata and the report.
