@@ -1,6 +1,5 @@
-"""Benchmark harness: stats, runner, parallel fan-out, experiments."""
+"""Benchmark harness: runner, parallel fan-out, experiments."""
 
-from .stats import summarize_samples, SampleSummary, bootstrap_ci
 from .runner import ExperimentRunner, ExperimentResult
 from .parallel import parallel_map
 from .trajectory import (compare_points, load_point, previous_point,
@@ -12,7 +11,6 @@ from .experiments.registry import (
 )
 
 __all__ = [
-    "summarize_samples", "SampleSummary", "bootstrap_ci",
     "ExperimentRunner", "ExperimentResult",
     "parallel_map",
     "compare_points", "load_point", "previous_point", "run_suite",

@@ -90,8 +90,8 @@ def run() -> ExperimentResult:
         == _blob(auto_sharded.summary())
 
     # Work-balance bound on parallel speedup: total work over the
-    # largest cell's work (deterministic; the wall-clock realisation
-    # is the opt-in bench-track probe).
+    # largest cell's work (deterministic; perfbench's fleet_autoscale
+    # workload measures the wall-clock speedup as fleet.shard_speedup).
     per_cell_work = [v["generated"]
                      for v in static_min.per_cell.values()]
     speedup_bound = sum(per_cell_work) / max(per_cell_work)

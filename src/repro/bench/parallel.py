@@ -180,20 +180,3 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
     finally:
         pool.shutdown(wait=True)
 
-
-def chunked(seq: Sequence[T], n_chunks: int) -> List[List[T]]:
-    """Split a sequence into ``n_chunks`` contiguous, balanced chunks."""
-    if n_chunks < 1:
-        raise BenchmarkError(f"n_chunks must be >= 1, got {n_chunks}")
-    items = list(seq)
-    if not items:
-        return []
-    n_chunks = min(n_chunks, len(items))
-    base, extra = divmod(len(items), n_chunks)
-    out: List[List[T]] = []
-    start = 0
-    for i in range(n_chunks):
-        size = base + (1 if i < extra else 0)
-        out.append(items[start:start + size])
-        start += size
-    return out

@@ -72,14 +72,3 @@ def pareto_front(points: Sequence[TradeoffPoint]) -> List[TradeoffPoint]:
     front = [p for p in points
              if not any(q.dominates(p) for q in points)]
     return sorted(front, key=lambda p: p.median_latency_ms)
-
-
-def best_under_deadline(points: Sequence[TradeoffPoint],
-                        deadline_ms: float) -> TradeoffPoint:
-    """Highest-accuracy point meeting a latency budget."""
-    feasible = [p for p in points if p.median_latency_ms <= deadline_ms]
-    if not feasible:
-        raise BenchmarkError(
-            f"no configuration meets {deadline_ms} ms")
-    return max(feasible, key=lambda p: (p.accuracy_pct, -p.
-                                        median_latency_ms))

@@ -26,7 +26,6 @@ from .annotations import (
     Annotation,
     AnnotatedImage,
     to_roboflow_record,
-    from_roboflow_record,
     to_yolo_label,
 )
 from .builder import DatasetBuilder, DatasetIndex, ImageRecord
@@ -47,7 +46,7 @@ __all__ = [
     "VideoClip", "SyntheticVideoSource", "DroneMotionModel",
     "FrameExtractor", "extract_dataset_frames",
     "Annotation", "AnnotatedImage", "to_roboflow_record",
-    "from_roboflow_record", "to_yolo_label",
+    "to_yolo_label",
     "DatasetBuilder", "DatasetIndex", "ImageRecord",
     "SplitSpec", "stratified_sample", "random_sample", "train_val_split",
     "paper_protocol_split",

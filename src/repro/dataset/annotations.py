@@ -6,8 +6,8 @@ file includes the class label of the image, along with the top-left and
 bottom-right coordinates of the bounding box."
 
 We reproduce that record shape (class + corner coordinates per box) and
-add the YOLO-format label line (class cx cy w h, normalised) used when
-exporting the training set for Ultralytics-style consumption.
+the YOLO-format label line (class cx cy w h, normalised) that
+Ultralytics-style training reads.
 """
 
 from __future__ import annotations
@@ -83,28 +83,6 @@ def to_roboflow_record(img: AnnotatedImage) -> Dict:
             for a in img.annotations
         ],
     }
-
-
-def from_roboflow_record(record: Dict) -> AnnotatedImage:
-    """Parse a Roboflow-like dict back into an :class:`AnnotatedImage`."""
-    try:
-        anns = []
-        for b in record["boxes"]:
-            name = b["label"]
-            if name not in CLASS_NAMES:
-                raise AnnotationError(f"unknown label {name!r}")
-            cls = CLASS_NAMES.index(name)
-            anns.append(Annotation(
-                BBox(float(b["x_min"]), float(b["y_min"]),
-                     float(b["x_max"]), float(b["y_max"]), cls=cls),
-                class_name=name))
-        return AnnotatedImage(
-            image_id=str(record["image_id"]),
-            width=int(record["width"]),
-            height=int(record["height"]),
-            annotations=tuple(anns))
-    except KeyError as exc:
-        raise AnnotationError(f"missing field in record: {exc}") from None
 
 
 def to_yolo_label(img: AnnotatedImage) -> str:

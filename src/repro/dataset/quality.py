@@ -2,27 +2,23 @@
 
 Real drone datasets accumulate defects that silently poison training:
 near-duplicate frames (the 30→10 FPS decimation leaves temporally
-adjacent, almost-identical frames), degenerate or out-of-bounds boxes,
-and strata whose box-size distributions drift (annotation-tool
-inconsistency).  This module provides:
+adjacent, almost-identical frames) and strata whose content drifts.
+This module provides:
 
-* perceptual fingerprints (difference-hash) and near-duplicate
-  detection within/between splits — duplicates *across* train/test
-  splits are the classic leakage bug;
-* annotation audits (bounds, degeneracy, size outliers);
+* perceptual fingerprints (difference-hash) and their Hamming distance,
+  which tell near-duplicate frames apart from distinct scenes;
 * per-stratum content statistics for the curation report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
 import numpy as np
 
 from ..errors import DatasetError
 from .builder import DatasetIndex
-from .renderer import RenderedFrame, SceneRenderer
+from .renderer import SceneRenderer
 
 #: dHash grid size (hash length = HASH_SIZE² bits).
 HASH_SIZE = 8
@@ -80,97 +76,6 @@ def perceptual_hash(image: np.ndarray) -> int:
 def hamming_distance(a: int, b: int) -> int:
     """Bit distance between two hashes."""
     return bin(a ^ b).count("1")
-
-
-@dataclass
-class DuplicateReport:
-    """Near-duplicate pairs found in a frame collection."""
-
-    pairs: List[Tuple[str, str, int]] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.pairs)
-
-
-def find_near_duplicates(frames: Sequence[Tuple[str, RenderedFrame]],
-                         max_distance: int = 4) -> DuplicateReport:
-    """All frame pairs whose hash distance ≤ ``max_distance``.
-
-    O(n²) over hashes (ints), which is fine into the tens of thousands;
-    the hashing itself is the linear-time part.
-    """
-    if max_distance < 0:
-        raise DatasetError("max_distance must be non-negative")
-    hashes = [(fid, perceptual_hash(frame.image))
-              for fid, frame in frames]
-    report = DuplicateReport()
-    for i in range(len(hashes)):
-        for j in range(i + 1, len(hashes)):
-            d = hamming_distance(hashes[i][1], hashes[j][1])
-            if d <= max_distance:
-                report.pairs.append((hashes[i][0], hashes[j][0], d))
-    return report
-
-
-def cross_split_leakage(train: Sequence[Tuple[str, RenderedFrame]],
-                        test: Sequence[Tuple[str, RenderedFrame]],
-                        max_distance: int = 2) -> List[Tuple[str, str,
-                                                             int]]:
-    """Near-duplicates *between* train and test — evaluation leakage."""
-    train_hashes = [(fid, perceptual_hash(f.image)) for fid, f in train]
-    test_hashes = [(fid, perceptual_hash(f.image)) for fid, f in test]
-    leaks = []
-    for tid, th in train_hashes:
-        for eid, eh in test_hashes:
-            d = hamming_distance(th, eh)
-            if d <= max_distance:
-                leaks.append((tid, eid, d))
-    return leaks
-
-
-@dataclass
-class AnnotationAudit:
-    """Box-level findings over a frame collection."""
-
-    total_boxes: int = 0
-    out_of_bounds: List[str] = field(default_factory=list)
-    degenerate: List[str] = field(default_factory=list)
-    size_outliers: List[str] = field(default_factory=list)
-    vest_free_frames: List[str] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not (self.out_of_bounds or self.degenerate)
-
-
-def audit_annotations(frames: Sequence[Tuple[str, RenderedFrame]],
-                      min_box_px: float = 1.5,
-                      outlier_sigmas: float = 4.0) -> AnnotationAudit:
-    """Audit vest annotations for bounds/degeneracy/size outliers."""
-    audit = AnnotationAudit()
-    heights: List[float] = []
-    ids: List[str] = []
-    for fid, frame in frames:
-        h, w = frame.size
-        if not frame.vest_boxes:
-            audit.vest_free_frames.append(fid)
-        for box in frame.vest_boxes:
-            audit.total_boxes += 1
-            if box.x1 < -1e-6 or box.y1 < -1e-6 or box.x2 > w + 1e-6 \
-                    or box.y2 > h + 1e-6:
-                audit.out_of_bounds.append(fid)
-            if box.width < min_box_px or box.height < min_box_px:
-                audit.degenerate.append(fid)
-            heights.append(box.height)
-            ids.append(fid)
-    if len(heights) >= 8:
-        arr = np.asarray(heights)
-        mu, sigma = arr.mean(), max(arr.std(), 1e-9)
-        for fid, hgt in zip(ids, heights):
-            if abs(hgt - mu) > outlier_sigmas * sigma:
-                audit.size_outliers.append(fid)
-    return audit
 
 
 def stratum_statistics(index: DatasetIndex, renderer: SceneRenderer,

@@ -62,10 +62,3 @@ class SerializationError(ReproError):
 class FaultError(ReproError):
     """An injected (or real) runtime fault surfaced by a pipeline stage."""
 
-
-class StageTimeoutError(FaultError):
-    """A pipeline stage exceeded its watchdog budget and was aborted."""
-
-
-class DegradedModeError(FaultError):
-    """An operation is unavailable because the pipeline is degraded."""

@@ -13,7 +13,7 @@ from .bbox import (
     normalize_boxes,
     denormalize_boxes,
 )
-from .nms import nms, batched_nms, soft_nms
+from .nms import nms
 from .keypoints import (
     SKELETON_EDGES,
     KEYPOINT_NAMES,
@@ -27,7 +27,7 @@ __all__ = [
     "BBox", "boxes_to_array", "array_to_boxes", "iou_matrix",
     "pairwise_iou", "xyxy_to_cxcywh", "cxcywh_to_xyxy", "clip_boxes",
     "box_area", "normalize_boxes", "denormalize_boxes",
-    "nms", "batched_nms", "soft_nms",
+    "nms",
     "SKELETON_EDGES", "KEYPOINT_NAMES", "NUM_KEYPOINTS", "KeypointSet",
     "keypoints_to_features", "oks",
 ]

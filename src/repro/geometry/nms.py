@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import AnnotationError
-from .bbox import box_area, iou_matrix
+from .bbox import box_area
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray,
@@ -60,52 +60,3 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
         suppressed[rest[iou > iou_threshold]] = True
     return np.asarray(keep, dtype=np.intp)
 
-
-def batched_nms(boxes: np.ndarray, scores: np.ndarray, classes: np.ndarray,
-                iou_threshold: float = 0.7) -> np.ndarray:
-    """Class-aware NMS: boxes of different classes never suppress each other.
-
-    Implemented with the coordinate-offset trick (each class's boxes are
-    translated to a disjoint region) so a single :func:`nms` call suffices.
-    """
-    boxes = np.asarray(boxes, dtype=np.float64)
-    classes = np.asarray(classes)
-    if classes.shape != (boxes.shape[0],):
-        raise AnnotationError(
-            f"classes shape {classes.shape} does not match boxes")
-    if boxes.size == 0:
-        return np.zeros((0,), dtype=np.intp)
-    max_coord = float(boxes.max()) + 1.0
-    offsets = classes.astype(np.float64)[:, None] * max_coord
-    return nms(boxes + offsets, scores, iou_threshold)
-
-
-def soft_nms(boxes: np.ndarray, scores: np.ndarray,
-             sigma: float = 0.5, score_threshold: float = 1e-3) -> np.ndarray:
-    """Gaussian Soft-NMS: decays overlapping scores instead of removing.
-
-    Returns the decayed score vector (same order as the input); callers
-    filter by ``score_threshold``.  Included as an ablation alternative to
-    greedy NMS for the crowded-pedestrian scenes in the dataset.
-    """
-    boxes = np.asarray(boxes, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64).copy()
-    if sigma <= 0:
-        raise AnnotationError(f"sigma must be positive, got {sigma}")
-    n = len(boxes)
-    if n == 0:
-        return scores
-    active = np.ones(n, dtype=bool)
-    iou = iou_matrix(boxes, boxes)
-    for _ in range(n):
-        live = np.flatnonzero(active & (scores > score_threshold))
-        if live.size == 0:
-            break
-        i = live[np.argmax(scores[live])]
-        active[i] = False
-        others = np.flatnonzero(active)
-        if others.size == 0:
-            break
-        decay = np.exp(-(iou[i, others] ** 2) / sigma)
-        scores[others] *= decay
-    return scores

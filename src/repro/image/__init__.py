@@ -22,7 +22,6 @@ from .ops import (
 from .draw import (
     fill_rect,
     fill_circle,
-    fill_triangle,
     draw_line,
     vertical_gradient,
     checker_texture,
@@ -31,17 +30,13 @@ from .augment import (
     AdversarialKind,
     AugmentConfig,
     apply_adversarial,
-    AugmentPipeline,
 )
-from .weather import add_rain, add_fog, apply_weather
 
 __all__ = [
     "letterbox", "resize_nearest", "resize_bilinear", "crop", "rotate",
     "gaussian_blur", "adjust_brightness", "adjust_contrast", "add_noise",
     "to_uint8", "from_uint8", "validate_image",
-    "fill_rect", "fill_circle", "fill_triangle", "draw_line",
+    "fill_rect", "fill_circle", "draw_line",
     "vertical_gradient", "checker_texture",
     "AdversarialKind", "AugmentConfig", "apply_adversarial",
-    "AugmentPipeline",
-    "add_rain", "add_fog", "apply_weather",
 ]

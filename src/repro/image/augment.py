@@ -14,7 +14,7 @@ frames keep valid ground truth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,10 +40,6 @@ class AdversarialKind(enum.Enum):
     CROP = "crop"
     TILT = "tilt"
     NOISE = "noise"
-
-    @classmethod
-    def all(cls) -> Tuple["AdversarialKind", ...]:
-        return tuple(cls)
 
 
 @dataclass(frozen=True)
@@ -137,41 +133,3 @@ def apply_adversarial(
         return cropped, kept
 
     raise ConfigError(f"unknown adversarial kind {kind!r}")
-
-
-@dataclass
-class AugmentPipeline:
-    """Composable corruption pipeline applied in sequence.
-
-    Mirrors how real adversarial frames combine conditions (a blurred,
-    low-light, tilted frame).  Deterministic given the rng stream.
-    """
-
-    kinds: Sequence[AdversarialKind] = field(
-        default_factory=lambda: list(AdversarialKind.all()))
-    cfg: AugmentConfig = field(default_factory=AugmentConfig)
-
-    def __call__(self, img: np.ndarray, boxes: Sequence[BBox],
-                 rng: Optional[np.random.Generator] = None,
-                 n_corruptions: int = 1,
-                 ) -> Tuple[np.ndarray, List[BBox], List[AdversarialKind]]:
-        """Apply ``n_corruptions`` randomly chosen corruptions.
-
-        Returns the corrupted image, remapped boxes and the kinds applied
-        (recorded in annotations for per-condition analysis).
-        """
-        if n_corruptions < 1:
-            raise ConfigError(
-                f"n_corruptions must be >= 1, got {n_corruptions}")
-        gen = coerce_rng(rng, "augment", "pipeline")
-        chosen_idx = gen.choice(len(self.kinds),
-                                size=min(n_corruptions, len(self.kinds)),
-                                replace=False)
-        applied: List[AdversarialKind] = []
-        out, out_boxes = img, list(boxes)
-        for i in np.sort(chosen_idx):
-            kind = self.kinds[int(i)]
-            out, out_boxes = apply_adversarial(out, out_boxes, kind,
-                                               self.cfg, gen)
-            applied.append(kind)
-        return out, out_boxes, applied

@@ -10,7 +10,7 @@ pixel-accurate ground-truth depth for the Monodepth2 substitute.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -61,27 +61,6 @@ def fill_circle(img: np.ndarray, cx: float, cy: float, radius: float,
     h, w = img.shape[:2]
     ys, xs = _grid(h, w)
     mask = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius ** 2
-    _paint(img, mask, color, depth, z)
-
-
-def fill_triangle(img: np.ndarray, pts: Sequence[Tuple[float, float]],
-                  color: Color, depth: Optional[np.ndarray] = None,
-                  z: float = 0.0) -> None:
-    """Fill a triangle given three ``(x, y)`` vertices (half-plane test)."""
-    if len(pts) != 3:
-        raise ConfigError(f"triangle needs 3 points, got {len(pts)}")
-    h, w = img.shape[:2]
-    ys, xs = _grid(h, w)
-    (x0, y0), (x1, y1), (x2, y2) = pts
-
-    def edge(ax, ay, bx, by):
-        return (xs - ax) * (by - ay) - (ys - ay) * (bx - ax)
-
-    e0 = edge(x0, y0, x1, y1)
-    e1 = edge(x1, y1, x2, y2)
-    e2 = edge(x2, y2, x0, y0)
-    mask = ((e0 >= 0) & (e1 >= 0) & (e2 >= 0)) \
-        | ((e0 <= 0) & (e1 <= 0) & (e2 <= 0))
     _paint(img, mask, color, depth, z)
 
 

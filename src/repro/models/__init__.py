@@ -22,11 +22,9 @@ from .spec import (
     table2_rows,
 )
 from .registry import MODEL_REGISTRY, build_mini_model
-from .zoo import ModelZoo, ZooSpec
 
 __all__ = [
     "ModelSpec", "ModelTask", "PAPER_MODELS", "model_spec",
     "yolo_variants", "table2_rows",
     "MODEL_REGISTRY", "build_mini_model",
-    "ModelZoo", "ZooSpec",
 ]

@@ -15,13 +15,13 @@ the same substrates:
   complements monocular depth.
 """
 
-from .thermal import ThermalRenderer, render_thermal
+from .thermal import ThermalRenderer
 from .lidar import LidarConfig, LidarScan, simulate_lidar_scan, \
     scan_obstacles
-from .fusion import FusionDetector, FusionConfig, thermal_detect
+from .fusion import FusionConfig, thermal_detect
 
 __all__ = [
-    "ThermalRenderer", "render_thermal",
+    "ThermalRenderer",
     "LidarConfig", "LidarScan", "simulate_lidar_scan", "scan_obstacles",
-    "FusionDetector", "FusionConfig", "thermal_detect",
+    "FusionConfig", "thermal_detect",
 ]

@@ -16,15 +16,14 @@ the ablation is to isolate the value of the modality, not the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..dataset.renderer import RenderedFrame
 from ..errors import ConfigError
 from ..geometry.bbox import BBox, boxes_to_array, iou_matrix
 from ..models.yolo.postprocess import Detection
-from .thermal import PERSON_TEMP_C, ThermalConfig, ThermalRenderer
+from .thermal import PERSON_TEMP_C
 
 
 def thermal_detect(temp_map: np.ndarray,
@@ -76,34 +75,10 @@ class FusionConfig:
     #: Score multiplier for detections only one modality saw — ranks
     #: cross-confirmed detections above confidently-wrong singletons.
     unconfirmed_penalty: float = 0.8
-    ambient_c: float = 12.0      # night operation by default
 
     def __post_init__(self) -> None:
         if not 0 < self.unconfirmed_penalty <= 1:
             raise ConfigError("unconfirmed penalty outside (0, 1]")
-
-
-class FusionDetector:
-    """Fuses an RGB detector callable with the thermal channel.
-
-    ``rgb_detector(frame) -> List[Detection]`` is any per-frame RGB
-    detector (a trained mini-YOLO wrapper, or the oracle perceptor).
-    """
-
-    def __init__(self, rgb_detector,
-                 config: FusionConfig = FusionConfig()) -> None:
-        self.rgb_detector = rgb_detector
-        self.config = config
-        self._thermal = ThermalRenderer(
-            ThermalConfig(ambient_c=config.ambient_c))
-
-    def detect(self, frame: RenderedFrame,
-               rng: Optional[np.random.Generator] = None
-               ) -> List[Detection]:
-        rgb_dets = list(self.rgb_detector(frame))
-        temp = self._thermal.render(frame, rng)
-        th_dets = thermal_detect(temp)
-        return fuse_detections(rgb_dets, th_dets, self.config)
 
 
 def fuse_detections(rgb: Sequence[Detection],

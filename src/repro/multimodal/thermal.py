@@ -8,8 +8,7 @@ boxes), never from the RGB pixels — which is exactly why the modality is
 robust to the low-light/blur corruptions that break the RGB detector
 (the property the multimodal ablation measures).
 
-Output: ``(H, W)`` float32 temperature map in °C, plus a normalised
-``[0, 1]`` intensity view for display/model input.
+Output: ``(H, W)`` float32 temperature map in °C.
 """
 
 from __future__ import annotations
@@ -121,12 +120,3 @@ class ThermalRenderer:
         mask = np.abs(region_depth - centre_depth) < 1.0
         temp[y1:y2, x1:x2][mask] = temperature
 
-
-def render_thermal(frame: RenderedFrame, ambient_c: float = AMBIENT_DAY_C,
-                   rng: Optional[np.random.Generator] = None
-                   ) -> np.ndarray:
-    """One-shot normalised thermal intensity ``[0, 1]`` for a frame."""
-    renderer = ThermalRenderer(ThermalConfig(ambient_c=ambient_c))
-    temp = renderer.render(frame, rng)
-    lo, hi = SKY_TEMP_C, ENGINE_TEMP_C
-    return np.clip((temp - lo) / (hi - lo), 0.0, 1.0).astype(np.float32)

@@ -32,15 +32,8 @@ from .network import Sequential, count_parameters
 from .workspace import Workspace
 from .fuse import FusedConvBNAct, FusedSequential, fold_conv_bn, fuse_eval
 from .optim import SGD, Adam, CosineWarmupSchedule
-from .losses import (
-    bce_with_logits,
-    bce_with_logits_grad,
-    mse_loss,
-    smooth_l1,
-    smooth_l1_grad,
-    ciou,
-)
-from .flops import conv2d_flops, linear_flops, layer_memory_bytes
+from .losses import bce_with_logits, ciou
+from .flops import conv2d_flops
 
 __all__ = [
     "he_init", "xavier_init", "zeros_init",
@@ -51,7 +44,6 @@ __all__ = [
     "Workspace", "fuse_eval", "fold_conv_bn",
     "FusedSequential", "FusedConvBNAct",
     "SGD", "Adam", "CosineWarmupSchedule",
-    "bce_with_logits", "bce_with_logits_grad", "mse_loss",
-    "smooth_l1", "smooth_l1_grad", "ciou",
-    "conv2d_flops", "linear_flops", "layer_memory_bytes",
+    "bce_with_logits", "ciou",
+    "conv2d_flops",
 ]

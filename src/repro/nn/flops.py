@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..errors import ModelError
-from ..units import fp32_bytes
 
 
 def conv2d_params(in_channels: int, out_channels: int, kernel: int,
@@ -33,21 +32,6 @@ def conv2d_flops(in_channels: int, out_channels: int, kernel: int,
         raise ModelError(f"bad conv output {out_h}x{out_w}")
     macs = in_channels * out_channels * kernel * kernel * out_h * out_w
     return 2 * macs
-
-
-def linear_flops(in_features: int, out_features: int) -> int:
-    """FLOPs of a fully connected layer (2 × MACs)."""
-    return 2 * in_features * out_features
-
-
-def batchnorm_params(channels: int) -> int:
-    """Trainable parameters of batchnorm (γ, β)."""
-    return 2 * channels
-
-
-def layer_memory_bytes(params: int, activation_elems: int) -> int:
-    """Bytes moved by one layer in inference: weights + activations out."""
-    return fp32_bytes(params) + fp32_bytes(activation_elems)
 
 
 def conv_output_hw(h: int, w: int, kernel: int, stride: int,

@@ -3,8 +3,8 @@
 The detector trains with BCE on objectness plus a box-regression term on
 positive cells (the standard single-shot recipe); CIoU is provided as the
 evaluation-side overlap measure matching the paper's IoU-0.7 protocol.
-All losses return ``(value, grad)`` pairs or have a paired ``*_grad``
-function so the training loop stays explicit about what flows backward.
+``heatmap_loss`` returns a ``(value, grad)`` pair; the detector computes
+its BCE gradient next to its box terms in ``detection_loss``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import TrainingError
-from .layers import sigmoid
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray,
@@ -32,46 +31,6 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray,
         denom = max(float(np.sum(weights)), 1e-12)
         return float(np.sum(per) / denom)
     return float(np.mean(per))
-
-
-def bce_with_logits_grad(logits: np.ndarray, targets: np.ndarray,
-                         weights: np.ndarray = None) -> np.ndarray:
-    """Gradient of :func:`bce_with_logits` w.r.t. the logits."""
-    g = (sigmoid(logits) - targets).astype(np.float32)
-    if weights is not None:
-        denom = max(float(np.sum(weights)), 1e-12)
-        return g * (weights / denom).astype(np.float32)
-    return g / g.size
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray
-             ) -> Tuple[float, np.ndarray]:
-    """Mean squared error and its gradient w.r.t. ``pred``."""
-    if pred.shape != target.shape:
-        raise TrainingError(
-            f"mse shapes differ: {pred.shape} vs {target.shape}")
-    diff = (pred - target).astype(np.float64)
-    value = float(np.mean(diff ** 2))
-    grad = (2.0 * diff / diff.size).astype(np.float32)
-    return value, grad
-
-
-def smooth_l1(pred: np.ndarray, target: np.ndarray,
-              beta: float = 1.0) -> float:
-    """Huber/smooth-L1 value (mean over elements)."""
-    if beta <= 0:
-        raise TrainingError(f"beta must be positive, got {beta}")
-    diff = np.abs(pred.astype(np.float64) - target.astype(np.float64))
-    per = np.where(diff < beta, 0.5 * diff ** 2 / beta, diff - 0.5 * beta)
-    return float(np.mean(per))
-
-
-def smooth_l1_grad(pred: np.ndarray, target: np.ndarray,
-                   beta: float = 1.0) -> np.ndarray:
-    """Gradient of :func:`smooth_l1` w.r.t. ``pred``."""
-    diff = pred.astype(np.float64) - target.astype(np.float64)
-    g = np.where(np.abs(diff) < beta, diff / beta, np.sign(diff))
-    return (g / diff.size).astype(np.float32)
 
 
 def ciou(pred: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -420,6 +420,10 @@ _P_COMPLETE, _P_CRASH, _P_RESTORE, _P_RETRY, _P_ARRIVAL, _P_TIMEOUT, \
     _P_HEDGE, _P_DISPATCH = range(8)
 #: The request-metadata field each timer-heap priority arms.
 _TIMER_FIELDS = {_P_TIMEOUT: "timeout_at", _P_HEDGE: "hedge_at"}
+#: Events whose handler always consumes a list entry (the next arrival,
+#: the replica's next crash window): two equal tuples in a row are two
+#: entries with the same time, not one event left pending.
+_CURSOR_EVENTS = (_P_CRASH, _P_ARRIVAL)
 
 
 class ClusterSimulator:
@@ -852,13 +856,20 @@ class ClusterSimulator:
             _P_DISPATCH: self._on_dispatch,
         }
         tracer = current_tracer()
+        last = None
         with tracer.span("cluster.loop"):
             while True:
-                t, prio, replica, key = self._next_event()
+                event = self._next_event()
+                t, prio, replica, key = event
                 if t == _INF:
                     return True
                 if pause_at_ms is not None and t > pause_at_ms:
                     return False
+                if event == last and prio not in _CURSOR_EVENTS:
+                    raise BenchmarkError(
+                        f"cluster event loop made no progress: event "
+                        f"{event} is still pending after its handler ran")
+                last = event
                 self._s["now"] = max(self._s["now"], t)
                 if tracer.enabled:
                     with tracer.span(self._SPAN_NAMES[prio]):

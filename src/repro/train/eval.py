@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 from ..errors import BenchmarkError
 from ..geometry.bbox import boxes_to_array, iou_matrix
 from .metrics import DetectionCounts, precision, recall
@@ -100,76 +98,6 @@ def evaluate_vip_detection(detections_per_image: Sequence[Sequence],
                          num_images=len(truth_per_image),
                          iou_threshold=iou_threshold,
                          conf_threshold=conf_threshold)
-
-
-def precision_recall_curve(detections_per_image: Sequence[Sequence],
-                           truth_per_image: Sequence[Sequence],
-                           iou_threshold: float = 0.5):
-    """Confidence-swept PR points + average precision.
-
-    Uses the standard greedy all-detections matching (not top-1), so
-    multi-detection behaviour is visible; returns
-    ``(precisions, recalls, ap)`` as arrays sorted by descending
-    confidence.
-    """
-    import numpy as np
-
-    from .metrics import average_precision, match_detections
-    if len(detections_per_image) != len(truth_per_image):
-        raise BenchmarkError("detections/truth length mismatch")
-    scored = []
-    num_truth = 0
-    for dets, truths in zip(detections_per_image, truth_per_image):
-        num_truth += len(truths)
-        boxes = [d.box for d in dets]
-        _, assignments = match_detections(boxes, list(truths),
-                                          iou_threshold)
-        for det, assigned in zip(dets, assignments):
-            scored.append((det.score, assigned >= 0))
-    if num_truth == 0:
-        raise BenchmarkError("no ground truth for PR curve")
-    ap = average_precision(scored, num_truth)
-    order = sorted(scored, key=lambda sm: -sm[0])
-    tps = np.cumsum([1.0 if m else 0.0 for _, m in order])
-    fps = np.cumsum([0.0 if m else 1.0 for _, m in order])
-    precisions = tps / np.maximum(tps + fps, 1e-12)
-    recalls = tps / num_truth
-    return precisions, recalls, ap
-
-
-def evaluate_map_on_frames(model, frames: Sequence,
-                           iou_thresholds: Sequence[float] =
-                           (0.3, 0.5),
-                           conf_floor: float = 0.05,
-                           batch_size: int = 64) -> dict:
-    """AP at several IoU thresholds for a mini detector over frames.
-
-    ``conf_floor`` keeps low-confidence detections in the sweep (the PR
-    curve needs them); returns ``{iou: ap}`` plus the mean ('mAP').
-    """
-    from ..models.yolo.postprocess import decode_predictions
-    from ..models.yolo.train import frames_to_arrays
-
-    if not frames:
-        raise BenchmarkError("no frames to evaluate")
-    all_dets: List[List] = []
-    all_truth: List[List] = []
-    for start in range(0, len(frames), batch_size):
-        chunk = list(frames[start:start + batch_size])
-        images, boxes = frames_to_arrays(chunk)
-        raw = model.forward(images, training=False)
-        scores, pboxes = model.decode(raw)
-        all_dets.extend(decode_predictions(
-            scores, pboxes, model.config.image_size,
-            conf_threshold=conf_floor, iou_threshold=0.7))
-        all_truth.extend(boxes)
-    out = {}
-    for iou in iou_thresholds:
-        _, _, ap = precision_recall_curve(all_dets, all_truth, iou)
-        out[iou] = ap
-    out["mAP"] = sum(out[t] for t in iou_thresholds) \
-        / len(iou_thresholds)
-    return out
 
 
 def evaluate_detector_on_frames(model, frames: Sequence,

@@ -1,54 +1,10 @@
-"""Tests for the benchmark harness: stats, runner, parallel fan-out."""
+"""Tests for the benchmark harness: runner, parallel fan-out."""
 
-import numpy as np
 import pytest
 
-from repro.bench.parallel import chunked, default_workers, parallel_map
+from repro.bench.parallel import default_workers, parallel_map
 from repro.bench.runner import ExperimentResult, ExperimentRunner
-from repro.bench.stats import (bootstrap_ci, relative_spread,
-                               summarize_samples)
 from repro.errors import BenchmarkError, ConfigError
-
-
-class TestStats:
-    def test_summary_fields(self):
-        samples = np.random.default_rng(0).lognormal(3, 0.1, 500)
-        s = summarize_samples(samples)
-        assert s.n == 500
-        assert s.minimum <= s.p5 <= s.median <= s.p95 <= s.p99 <= \
-            s.maximum
-
-    def test_empty_rejected(self):
-        with pytest.raises(BenchmarkError):
-            summarize_samples(np.array([]))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(BenchmarkError):
-            summarize_samples(np.array([1.0, np.inf]))
-
-    def test_bootstrap_ci_contains_median(self):
-        samples = np.random.default_rng(1).normal(100, 5, 400)
-        lo, hi = bootstrap_ci(samples, rng=np.random.default_rng(2))
-        assert lo <= np.median(samples) <= hi
-        assert hi - lo < 5.0
-
-    def test_bootstrap_deterministic(self):
-        samples = np.random.default_rng(1).normal(0, 1, 100)
-        a = bootstrap_ci(samples, rng=np.random.default_rng(5))
-        b = bootstrap_ci(samples, rng=np.random.default_rng(5))
-        assert a == b
-
-    def test_bootstrap_validation(self):
-        with pytest.raises(BenchmarkError):
-            bootstrap_ci(np.array([1.0]))
-        with pytest.raises(BenchmarkError):
-            bootstrap_ci(np.arange(10.0), confidence=0.3)
-
-    def test_relative_spread(self):
-        tight = np.full(100, 10.0) + \
-            np.random.default_rng(0).normal(0, 0.01, 100)
-        wide = np.random.default_rng(0).lognormal(2.3, 0.5, 100)
-        assert relative_spread(tight) < relative_spread(wide)
 
 
 def _square(x):
@@ -95,18 +51,6 @@ class TestParallelMap:
     def test_default_workers_positive(self):
         assert default_workers() >= 1
 
-    def test_chunked_balanced(self):
-        chunks = chunked(list(range(10)), 3)
-        assert [len(c) for c in chunks] == [4, 3, 3]
-        assert sum(chunks, []) == list(range(10))
-
-    def test_chunked_more_chunks_than_items(self):
-        chunks = chunked([1, 2], 5)
-        assert len(chunks) == 2
-
-    def test_chunked_validation(self):
-        with pytest.raises(BenchmarkError):
-            chunked([1], 0)
 
 
 def _ok_experiment():

@@ -11,8 +11,7 @@ from repro.core.deployment import (DeploymentAdvisor,
 from repro.core.pipeline import PipelineConfig, VipPipeline
 from repro.core.suite import OcularoneBench
 from repro.core.tracker import IoUTracker, greedy_iou_match
-from repro.core.tradeoff import (accuracy_latency_tradeoff,
-                                 best_under_deadline, pareto_front)
+from repro.core.tradeoff import accuracy_latency_tradeoff, pareto_front
 from repro.errors import BenchmarkError, ConfigError
 from repro.geometry.bbox import BBox
 
@@ -41,16 +40,6 @@ class TestTradeoff:
         workstation — so a 4090-hosted model is on the front."""
         front = pareto_front(points)
         assert any(p.device == "rtx4090" for p in front)
-
-    def test_best_under_deadline(self, points):
-        p = best_under_deadline(points, 100.0)
-        assert p.median_latency_ms <= 100.0
-        tight = best_under_deadline(points, 25.0)
-        assert tight.device == "rtx4090"
-
-    def test_no_feasible_deadline(self, points):
-        with pytest.raises(BenchmarkError):
-            best_under_deadline(points, 0.1)
 
     def test_empty_points_rejected(self):
         with pytest.raises(BenchmarkError):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.dataset.annotations import (CLASS_NAMES, AnnotatedImage,
                                        Annotation, annotate_frame,
-                                       from_roboflow_record,
                                        parse_yolo_label,
                                        to_roboflow_record, to_yolo_label)
 from repro.errors import AnnotationError
@@ -51,23 +50,6 @@ class TestRoboflowFormat:
         assert box["label"] == "hazard_vest"
         assert (box["x_min"], box["y_min"]) == (10, 20)
         assert (box["x_max"], box["y_max"]) == (30, 40)
-
-    def test_roundtrip(self):
-        img = make_annotated()
-        back = from_roboflow_record(to_roboflow_record(img))
-        assert back.image_id == img.image_id
-        assert back.annotations[0].box.as_tuple() == \
-            img.annotations[0].box.as_tuple()
-
-    def test_missing_field(self):
-        with pytest.raises(AnnotationError):
-            from_roboflow_record({"image_id": "x"})
-
-    def test_unknown_label(self):
-        rec = to_roboflow_record(make_annotated())
-        rec["boxes"][0]["label"] = "alien"
-        with pytest.raises(AnnotationError):
-            from_roboflow_record(rec)
 
 
 class TestYoloFormat:

@@ -1,4 +1,4 @@
-"""Tests for NMS variants."""
+"""Tests for greedy NMS."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import AnnotationError
 from repro.geometry.bbox import iou_matrix
-from repro.geometry.nms import batched_nms, nms, soft_nms
+from repro.geometry.nms import nms
 
 
 def _boxes(n, rng):
@@ -67,49 +67,3 @@ class TestNms:
         keep = nms(boxes, scores, iou_threshold=0.6)
         kept_scores = scores[keep]
         assert np.all(np.diff(kept_scores) <= 1e-12)
-
-
-class TestBatchedNms:
-    def test_classes_do_not_suppress_each_other(self):
-        boxes = np.array([[0, 0, 10, 10.0], [0, 0, 10, 10.0]])
-        scores = np.array([0.9, 0.8])
-        classes = np.array([0, 1])
-        keep = batched_nms(boxes, scores, classes, iou_threshold=0.5)
-        assert sorted(keep.tolist()) == [0, 1]
-
-    def test_same_class_suppressed(self):
-        boxes = np.array([[0, 0, 10, 10.0], [0, 0, 10, 10.0]])
-        keep = batched_nms(boxes, np.array([0.9, 0.8]),
-                           np.array([0, 0]), iou_threshold=0.5)
-        assert keep.tolist() == [0]
-
-    def test_empty(self):
-        assert batched_nms(np.zeros((0, 4)), np.zeros(0),
-                           np.zeros(0)).tolist() == []
-
-    def test_class_shape_validation(self):
-        with pytest.raises(AnnotationError):
-            batched_nms(np.array([[0, 0, 1, 1.0]]), np.array([0.5]),
-                        np.array([0, 1]))
-
-
-class TestSoftNms:
-    def test_isolated_box_score_unchanged(self):
-        boxes = np.array([[0, 0, 10, 10.0], [50, 50, 60, 60.0]])
-        scores = np.array([0.9, 0.8])
-        out = soft_nms(boxes, scores)
-        assert out == pytest.approx(scores)
-
-    def test_overlap_decays_score(self):
-        boxes = np.array([[0, 0, 10, 10.0], [1, 1, 11, 11.0]])
-        scores = np.array([0.9, 0.8])
-        out = soft_nms(boxes, scores)
-        assert out[0] == pytest.approx(0.9)
-        assert out[1] < 0.8
-
-    def test_sigma_validation(self):
-        with pytest.raises(AnnotationError):
-            soft_nms(np.zeros((0, 4)), np.zeros(0), sigma=0.0)
-
-    def test_empty(self):
-        assert soft_nms(np.zeros((0, 4)), np.zeros(0)).size == 0

@@ -19,7 +19,7 @@ from repro.geometry.bbox import (BBox, boxes_to_array,
                                  iou_matrix, normalize_boxes,
                                  xyxy_to_cxcywh)
 from repro.geometry.keypoints import NUM_KEYPOINTS, KeypointSet
-from repro.geometry.nms import batched_nms, nms
+from repro.geometry.nms import nms
 from repro.rng import make_rng
 
 N_TRIALS = 25
@@ -63,23 +63,6 @@ class TestNmsInvariants:
                         if iou[s, k] > thr and scores[k] >= scores[s]]
             assert culprits, f"trial {trial}: box {s} suppressed " \
                              f"with no overlapping kept box"
-
-    @pytest.mark.parametrize("trial", range(8))
-    def test_batched_nms_never_crosses_classes(self, trial):
-        rng = make_rng(trial, "prop-nms-batched")
-        n = int(rng.integers(2, 50))
-        boxes = random_boxes(rng, n)
-        scores = rng.uniform(0.0, 1.0, n)
-        classes = rng.integers(0, 3, n)
-        keep = set(batched_nms(boxes, scores, classes, 0.5).tolist())
-        iou = iou_matrix(boxes, boxes)
-        # Any pair suppressed across classes would violate the trick.
-        for c in np.unique(classes):
-            idx = np.where(classes == c)[0]
-            per_class = set(
-                idx[nms(boxes[idx], scores[idx], 0.5)].tolist())
-            assert per_class == keep & set(idx.tolist())
-        del iou
 
 
 class TestIouInvariants:

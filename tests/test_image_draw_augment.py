@@ -7,7 +7,7 @@ from repro.errors import ConfigError
 from repro.geometry.bbox import BBox
 from repro.image import draw
 from repro.image.augment import (AdversarialKind, AugmentConfig,
-                                 AugmentPipeline, apply_adversarial)
+                                 apply_adversarial)
 
 
 def blank(h=32, w=32):
@@ -45,16 +45,6 @@ class TestDraw:
     def test_circle_radius_validation(self):
         with pytest.raises(ConfigError):
             draw.fill_circle(blank(), 5, 5, 0.0, (1, 1, 1))
-
-    def test_fill_triangle(self):
-        img = blank()
-        draw.fill_triangle(img, [(4, 4), (28, 4), (16, 28)], (1, 1, 0))
-        assert img[8, 16, 0] == 1.0
-        assert img[28, 2].sum() == 0.0
-
-    def test_triangle_point_count(self):
-        with pytest.raises(ConfigError):
-            draw.fill_triangle(blank(), [(0, 0), (1, 1)], (1, 1, 1))
 
     def test_draw_line_thickness(self):
         img = blank()
@@ -145,18 +135,3 @@ class TestAdversarial:
         b, _ = apply_adversarial(img, boxes, AdversarialKind.NOISE,
                                  rng=np.random.default_rng(5))
         assert np.array_equal(a, b)
-
-
-class TestPipeline:
-    def test_applies_requested_count(self):
-        img = np.full((32, 32, 3), 0.5, dtype=np.float32)
-        pipe = AugmentPipeline()
-        out, boxes, applied = pipe(img, [], n_corruptions=2,
-                                   rng=np.random.default_rng(2))
-        assert len(applied) == 2
-        assert len(set(applied)) == 2  # no repeats
-
-    def test_count_validation(self):
-        pipe = AugmentPipeline()
-        with pytest.raises(ConfigError):
-            pipe(blank(), [], n_corruptions=0)

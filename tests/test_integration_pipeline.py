@@ -1,8 +1,7 @@
 """Integration tests: trained mini models wired into the full pipeline.
 
 Everything end to end, no oracles: the session-trained detector feeds
-the tracker; the Kalman tracker and range estimator run on its outputs;
-the fused multimodal perceptor drives the pipeline on a night sequence.
+the tracker; the Kalman tracker and range estimator run on its outputs.
 """
 
 import numpy as np
@@ -78,32 +77,3 @@ class TestTrainedDetectorPipeline:
         rel_err = np.abs(np.array(estimates) - np.array(truths)) \
             / np.array(truths)
         assert float(np.median(rel_err)) < 0.5
-
-
-class TestMultimodalPipeline:
-    def test_fusion_perceptor_in_pipeline(self, trained_detector,
-                                          clean_frames):
-        """The FusionDetector plugs into the pipeline as a perceptor."""
-        from repro.multimodal.fusion import FusionConfig, FusionDetector
-
-        def rgb_det(frame):
-            img = frame.image.transpose(2, 0, 1)[None].astype(
-                np.float32)
-            raw = trained_detector.forward(img, training=False)
-            scores, boxes = trained_detector.decode(raw)
-            return decode_predictions(scores, boxes, 64,
-                                      conf_threshold=0.4)[0]
-
-        fusion = FusionDetector(rgb_det, FusionConfig())
-
-        def perceive(frame):
-            return [d.box for d in fusion.detect(frame)]
-
-        pipe = VipPipeline(
-            PipelineConfig(detector_model="yolov8-n",
-                           device="rtx4090", run_pose=False,
-                           run_depth=False),
-            perceptor=perceive, seed=7)
-        report = pipe.run(clean_frames[100:112])
-        assert report.frames_processed == 12
-        assert report.detection_rate > 0.5

@@ -1,70 +1,6 @@
-"""Tests for mAP evaluation and the Fig. 2 gallery experiment."""
-
-import numpy as np
-import pytest
+"""Tests for the Fig. 2 gallery experiment."""
 
 from repro.bench.experiments.fig2_gallery import contact_sheet, run
-from repro.errors import BenchmarkError
-from repro.geometry.bbox import BBox
-from repro.models.yolo.postprocess import Detection
-from repro.train.eval import (evaluate_map_on_frames,
-                              precision_recall_curve)
-
-
-def det(x1, y1, x2, y2, score):
-    return Detection(BBox(x1, y1, x2, y2, conf=score), score)
-
-
-class TestPrecisionRecallCurve:
-    def test_perfect_detector(self):
-        dets = [[det(0, 0, 10, 10, 0.9)]]
-        truth = [[BBox(0, 0, 10, 10)]]
-        p, r, ap = precision_recall_curve(dets, truth)
-        assert ap == pytest.approx(1.0)
-        assert r[-1] == pytest.approx(1.0)
-
-    def test_half_right(self):
-        dets = [[det(0, 0, 10, 10, 0.9)], [det(50, 50, 60, 60, 0.8)]]
-        truth = [[BBox(0, 0, 10, 10)], [BBox(0, 0, 10, 10)]]
-        _, r, ap = precision_recall_curve(dets, truth)
-        assert r[-1] == pytest.approx(0.5)
-        assert 0.4 < ap < 0.6
-
-    def test_confidence_ordering_matters(self):
-        """High-confidence wrong detections depress AP more."""
-        truth = [[BBox(0, 0, 10, 10)]]
-        good_first = [[det(0, 0, 10, 10, 0.9),
-                       det(50, 50, 60, 60, 0.1)]]
-        bad_first = [[det(0, 0, 10, 10, 0.1),
-                      det(50, 50, 60, 60, 0.9)]]
-        _, _, ap_good = precision_recall_curve(good_first, truth)
-        _, _, ap_bad = precision_recall_curve(bad_first, truth)
-        assert ap_good > ap_bad
-
-    def test_no_truth_rejected(self):
-        with pytest.raises(BenchmarkError):
-            precision_recall_curve([[det(0, 0, 5, 5, 0.9)]], [[]])
-
-    def test_length_mismatch(self):
-        with pytest.raises(BenchmarkError):
-            precision_recall_curve([[]], [[], []])
-
-
-class TestEvaluateMap:
-    def test_trained_detector_map(self, trained_detector,
-                                  clean_frames):
-        scores = evaluate_map_on_frames(trained_detector,
-                                        clean_frames[100:120])
-        assert set(scores) == {0.3, 0.5, "mAP"}
-        assert 0.0 <= scores["mAP"] <= 1.0
-        # Looser IoU can only help AP.
-        assert scores[0.3] >= scores[0.5] - 1e-9
-        # The session-trained detector is clearly better than chance.
-        assert scores[0.3] > 0.3
-
-    def test_empty_frames_rejected(self, trained_detector):
-        with pytest.raises(BenchmarkError):
-            evaluate_map_on_frames(trained_detector, [])
 
 
 class TestFig2Gallery:

@@ -12,7 +12,7 @@ from repro.multimodal.lidar import (MAX_RANGE_M, LidarConfig, LidarScan,
                                     scan_obstacles, simulate_lidar_scan)
 from repro.multimodal.thermal import (AMBIENT_NIGHT_C, PERSON_TEMP_C,
                                       SKY_TEMP_C, ThermalConfig,
-                                      ThermalRenderer, render_thermal)
+                                      ThermalRenderer)
 from repro.rng import make_rng
 
 
@@ -55,10 +55,6 @@ class TestThermal:
         # Warm body stands out even more against the cold ambient.
         assert (night.max() - night.mean()) >= \
             (day.max() - day.mean()) - 1.0
-
-    def test_normalised_view_range(self, vip_frame):
-        intensity = render_thermal(vip_frame, rng=make_rng(2, "t"))
-        assert intensity.min() >= 0.0 and intensity.max() <= 1.0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

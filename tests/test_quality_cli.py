@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.dataset.quality import (audit_annotations,
-                                   cross_split_leakage,
-                                   find_near_duplicates,
-                                   hamming_distance, perceptual_hash,
+from repro.dataset.quality import (hamming_distance, perceptual_hash,
                                    stratum_statistics)
 from repro.errors import DatasetError
 
@@ -40,61 +37,6 @@ class TestPerceptualHash:
     def test_shape_validation(self):
         with pytest.raises(DatasetError):
             perceptual_hash(np.zeros((8, 8)))
-
-
-class TestDuplicates:
-    def test_exact_duplicate_found(self, named_frames):
-        fid, frame = named_frames[0]
-        report = find_near_duplicates(
-            [(fid, frame), ("copy", frame)] + named_frames[1:4])
-        assert any({a, b} == {fid, "copy"}
-                   for a, b, _ in report.pairs)
-
-    def test_distinct_frames_mostly_clean(self, named_frames):
-        report = find_near_duplicates(named_frames, max_distance=1)
-        assert report.count <= 2  # renderer variety keeps hashes apart
-
-    def test_cross_split_leakage_detects_shared_frame(self,
-                                                      named_frames):
-        train = named_frames[:4]
-        test = [("leak", named_frames[0][1])] + named_frames[4:8]
-        leaks = cross_split_leakage(train, test)
-        assert any(b == "leak" for _, b, _ in leaks)
-
-    def test_validation(self, named_frames):
-        with pytest.raises(DatasetError):
-            find_near_duplicates(named_frames, max_distance=-1)
-
-
-class TestAudit:
-    def test_rendered_annotations_clean(self, named_frames):
-        audit = audit_annotations(named_frames)
-        assert audit.clean
-        assert audit.total_boxes > 0
-
-    def test_detects_out_of_bounds(self, named_frames):
-        import dataclasses
-        from repro.geometry.bbox import BBox
-        fid, frame = named_frames[0]
-        bad = dataclasses.replace(frame) if False else frame
-        # Build a frame-like with a bad box.
-        from repro.dataset.renderer import RenderedFrame
-        bad = RenderedFrame(image=frame.image, depth=frame.depth,
-                            vest_boxes=[BBox(-5, -5, 200, 200)],
-                            object_boxes=[], keypoints=None,
-                            spec=frame.spec)
-        audit = audit_annotations([(fid, bad)])
-        assert not audit.clean
-        assert audit.out_of_bounds == [fid]
-
-    def test_vest_free_frames_reported(self, named_frames):
-        from repro.dataset.renderer import RenderedFrame
-        fid, frame = named_frames[0]
-        empty = RenderedFrame(image=frame.image, depth=frame.depth,
-                              vest_boxes=[], object_boxes=[],
-                              keypoints=None, spec=frame.spec)
-        audit = audit_annotations([("empty", empty)])
-        assert audit.vest_free_frames == ["empty"]
 
 
 class TestStratumStatistics:

@@ -582,3 +582,34 @@ class TestEventOrder:
         resumed = revived.resume()
         assert revived.timer_events > 0
         assert _summary_blob(resumed) == _summary_blob(whole)
+
+
+class TestProgressGuard:
+    def test_handler_that_leaves_its_timer_armed_raises(self):
+        """A timeout handler that does nothing leaves the same event
+        first in line; the loop must fail, not spin on it."""
+        sim = ClusterSimulator(DEEP_QUEUE)
+        seen = []
+
+        def stuck_timeout(t, replica, key):
+            seen.append((t, key))
+            # Without the guard the loop would call this forever.
+            assert len(seen) == 1, "loop re-ran a stuck timer"
+
+        sim._on_timeout = stuck_timeout
+        with pytest.raises(BenchmarkError, match="no progress"):
+            sim.run()
+        assert len(seen) == 1
+
+    def test_coincident_crash_windows_are_not_a_stall(self):
+        """Two crash specs at one instant on one replica are two
+        distinct events with equal tuples; the guard must let both
+        through."""
+        faults = tuple(
+            FaultSpec(FaultKind.SERVER_CRASH, replica=0,
+                      start_ms=1000.0, magnitude=m)
+            for m in (50.0, 80.0))
+        report = ClusterSimulator(
+            ClusterConfig(seed=7, faults=faults)).run()
+        assert report.conservation_holds()
+        assert report.replica_crashes[0] == 1  # the second is absorbed

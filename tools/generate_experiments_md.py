@@ -123,13 +123,13 @@ than summarise them afterwards (see DESIGN.md, "Streaming telemetry"):
   target set — ``ablation_pipeline`` (renderer rasterization),
   ``exp_serving`` (serving event loop), ``fleet_cells`` (fleet merge
   and cluster loop) and ``nn_forward`` (conv im2col/GEMM) — and is
-  byte-stable across machines, reruns and shard counts, so CI runs
-  ``repro profile --diff profile_baseline/PROFILE_baseline.json
-  <head>`` on every push and fails when any tracked path's self-time
-  p50 regresses more than 10 %.  Regenerate after intentional
+  byte-stable across machines, reruns and shard counts, so the
+  ``tests/test_profile.py`` freshness test recaptures it and compares
+  bytes on every tier-1 run; ``repro profile --diff
+  profile_baseline/PROFILE_baseline.json <head>`` prints the per-path
+  deltas of a regenerated baseline.  Regenerate after intentional
   hot-path changes with ``python -m repro profile --out
-  profile_baseline/PROFILE_baseline.json`` (the
-  ``tests/test_profile.py`` freshness golden will remind you).
+  profile_baseline/PROFILE_baseline.json``.
 """
 
 ORDER = ["table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4",
