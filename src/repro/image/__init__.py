@@ -2,7 +2,7 @@
 
 Images are ``(H, W, 3)`` float32 arrays in ``[0, 1]`` (RGB).  Depth maps
 are ``(H, W)`` float32 in metres.  Everything is vectorised NumPy; the
-renderer and the augmentation pipeline never loop over pixels.
+renderer and the adversarial transforms never loop over pixels.
 """
 
 from .ops import (

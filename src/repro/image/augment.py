@@ -1,4 +1,4 @@
-"""Adversarial-condition augmentation pipeline.
+"""Adversarial-condition augmentation.
 
 The Ocularone dataset's fifth category (4,384 images) contains frames
 captured under adversarial conditions: "low light, blur, cropped image,
