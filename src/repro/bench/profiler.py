@@ -13,9 +13,9 @@ dedicated probes covering hot paths no fast experiment reaches:
 * ``nn_layers`` — one forward per core layer type (conv, batchnorm,
   SiLU, maxpool) plus the fused Conv-BN-SiLU equivalent, each under
   its own ``layer.*`` span;
-* ``fleet_cells`` — the sharded fleet simulation from the bench-track
-  probe suite, exercising the cluster event loop, ``fleet.cell``
-  worker bodies and the canonical ``fleet.merge``.
+* ``fleet_cells`` — a small sharded fleet simulation, exercising the
+  cluster event loop, ``fleet.cell`` worker bodies and the canonical
+  ``fleet.merge``.
 
 Captures run on the deterministic :class:`~repro.obs.profile.
 TickClock` (span duration = instrumented clock reads), which is what
@@ -109,10 +109,24 @@ def _probe_nn_layers(shards: int) -> None:
         fused.forward(x, training=False)
 
 
+def _fleet_sim_config(shards: int = 1):
+    """A small cell-sharded fleet: 8 streams over 4 one-replica cells.
+
+    The merged report is byte-identical for any shard count, so the
+    same config serves the ``fleet_cells`` probe and the fleet snapshot
+    pinned in ``tests/golden/bench_probes.json``.
+    """
+    from ..serving import FleetSimConfig, ReplicaSpec
+    return FleetSimConfig(
+        num_streams=8, num_cells=4,
+        replicas_per_cell=(ReplicaSpec("yolov8-n", "orin-nano"),),
+        frame_rate=5.0, duration_s=3.0, deadline_ms=100.0,
+        seed=7, shards=shards)
+
+
 def _probe_fleet_cells(shards: int) -> None:
-    """The bench-track fleet probe, shard-fanned when asked."""
+    """The small sharded fleet, shard-fanned when asked."""
     from ..serving import FleetSimulator
-    from .trajectory import _fleet_sim_config
     FleetSimulator(_fleet_sim_config(shards=shards)).run()
 
 

@@ -16,14 +16,11 @@ Commands:
   plus optional folded-stacks flamegraph output;
   ``--diff BASE HEAD`` instead compares two profile documents and
   exits non-zero when any tracked path's self-time p50 regresses past
-  the tolerance (the CI profile gate);
+  the tolerance or a path new in HEAD reaches the noise floor;
 * ``monitor <experiment-id>`` — run an experiment under the telemetry
   bus and replay it as a fleet dashboard (per-device percentiles, SLO
   burn rates, health states); ``--spike`` injects a thermal-throttle
   latency spike into the fleet simulation;
-* ``bench-track`` — run the deterministic probe suite, append a
-  ``BENCH_<label>.json`` trajectory point and fail on p99 regression
-  against the previous point;
 * ``serve-sim`` — run the dynamic-batching serving simulator
   (``repro.serving``) for one workload/policy — one server, a replica
   pool (optionally under the chaos ladder), or a sharded fleet — and
@@ -185,9 +182,10 @@ def _cmd_profile(args) -> int:
                   f"(tolerance {args.max_regress_pct:g}%):",
                   file=sys.stderr)
             for r in regressions:
+                pct = f"+{r['regress_pct']:.1f}%" if r["baseline"] \
+                    else "new path"
                 print(f"  {r['path']}: {r['baseline']:.2f} -> "
-                      f"{r['current']:.2f} ms "
-                      f"(+{r['regress_pct']:.1f}%)", file=sys.stderr)
+                      f"{r['current']:.2f} ms ({pct})", file=sys.stderr)
             return 1
         print(f"no self-time p50 regression vs {base_path} "
               f"(tolerance {args.max_regress_pct:g}%)")
@@ -280,39 +278,6 @@ def _cmd_monitor(args) -> int:
                   encoding="utf-8") as fh:
             fh.write(frame.text + "\n")
         print(f"final frame: {args.out}")
-    return 0
-
-
-def _cmd_bench_track(args) -> int:
-    from .bench import trajectory
-    suite = trajectory.run_suite(n_frames=args.frames)
-    path = trajectory.write_point(args.out_dir, args.label, suite)
-    print(f"trajectory point: {path}")
-    for probe, snap in sorted(suite.items()):
-        quantiles = " ".join(
-            f"{k}={snap[k]:.2f}" for k in snap
-            if k[:1] == "p" and k[1:].replace(".", "", 1).isdigit())
-        print(f"  {probe}: n={snap['count']} {quantiles}")
-    baseline_path = args.baseline or trajectory.previous_point(
-        args.out_dir, args.label)
-    if baseline_path is None:
-        print("no previous trajectory point; regression gate skipped")
-        return 0
-    regressions = trajectory.compare_points(
-        trajectory.load_point(path),
-        trajectory.load_point(baseline_path),
-        max_regress_pct=args.max_regress_pct)
-    if regressions:
-        print(f"p99 REGRESSION vs {baseline_path} "
-              f"(tolerance {args.max_regress_pct:g}%):",
-              file=sys.stderr)
-        for r in regressions:
-            print(f"  {r['probe']}: {r['baseline']:.2f} -> "
-                  f"{r['current']:.2f} ms (+{r['regress_pct']:.1f}%)",
-                  file=sys.stderr)
-        return 1
-    print(f"no p99 regression vs {baseline_path} "
-          f"(tolerance {args.max_regress_pct:g}%)")
     return 0
 
 
@@ -636,13 +601,15 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--diff", nargs=2, default=None,
                         metavar=("BASE.json", "HEAD.json"),
                         help="compare two profile documents; exit "
-                             "non-zero on self-time p50 regression")
+                             "non-zero on self-time p50 regression "
+                             "or an added path")
     prof_p.add_argument("--max-regress-pct", type=float, default=10.0,
                         help="p50 self-time regression tolerance in "
                              "percent (default 10)")
     prof_p.add_argument("--min-self-ms", type=float, default=2.0,
-                        help="gate only paths whose baseline self-"
-                             "time p50 is at least this (default 2)")
+                        help="gate only paths whose baseline (for an "
+                             "added path, head) self-time p50 is at "
+                             "least this (default 2)")
 
     mon_p = sub.add_parser(
         "monitor", help="replay an experiment's telemetry as a "
@@ -668,22 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print every dashboard frame sequentially")
     mon_p.add_argument("--out", default=None,
                        help="also write the final frame to this file")
-
-    track_p = sub.add_parser(
-        "bench-track", help="append a BENCH_<label>.json trajectory "
-                            "point; fail on p99 regression")
-    track_p.add_argument("--label", default=None,
-                         help="point label (default: today's date)")
-    track_p.add_argument("--out-dir", default="bench_trajectory",
-                         help="trajectory directory")
-    track_p.add_argument("--baseline", default=None,
-                         help="explicit baseline point to compare "
-                              "against (default: previous point in "
-                              "the trajectory dir)")
-    track_p.add_argument("--frames", type=int, default=150,
-                         help="frames per latency probe")
-    track_p.add_argument("--max-regress-pct", type=float, default=10.0,
-                         help="p99 regression tolerance in percent")
 
     serve_p = sub.add_parser(
         "serve-sim", help="run the dynamic-batching serving simulator")
@@ -799,7 +750,6 @@ _HANDLERS = {
     "trace": _cmd_trace,
     "profile": _cmd_profile,
     "monitor": _cmd_monitor,
-    "bench-track": _cmd_bench_track,
     "serve-sim": _cmd_serve_sim,
     "lint": _cmd_lint,
     "report": _cmd_report,
@@ -811,10 +761,6 @@ _HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "bench-track" and args.label is None:
-        import datetime
-        # reprolint: disable=RL001 bench-track labels are calendar dates
-        args.label = datetime.date.today().isoformat()
     try:
         return _HANDLERS[args.command](args)
     except ReproError as exc:

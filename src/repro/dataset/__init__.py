@@ -25,8 +25,6 @@ from .extraction import FrameExtractor, extract_dataset_frames
 from .annotations import (
     Annotation,
     AnnotatedImage,
-    to_roboflow_record,
-    to_yolo_label,
 )
 from .builder import DatasetBuilder, DatasetIndex, ImageRecord
 from .sampling import (
@@ -45,8 +43,7 @@ __all__ = [
     "RenderedFrame", "SceneRenderer",
     "VideoClip", "SyntheticVideoSource", "DroneMotionModel",
     "FrameExtractor", "extract_dataset_frames",
-    "Annotation", "AnnotatedImage", "to_roboflow_record",
-    "to_yolo_label",
+    "Annotation", "AnnotatedImage",
     "DatasetBuilder", "DatasetIndex", "ImageRecord",
     "SplitSpec", "stratified_sample", "random_sample", "train_val_split",
     "paper_protocol_split",

@@ -1,24 +1,24 @@
-"""Annotation records in the paper's Roboflow/makesense format.
+"""Annotation records: class label plus corner coordinates per box.
 
 §2: frames "are annotated in Roboflow by drawing a bounding box around
 the region of interest, the 'neon hazard vest' … The Roboflow annotation
 file includes the class label of the image, along with the top-left and
 bottom-right coordinates of the bounding box."
 
-We reproduce that record shape (class + corner coordinates per box) and
-the YOLO-format label line (class cx cy w h, normalised) that
-Ultralytics-style training reads.
+Here the renderer's ground truth replaces that manual labelling, so a
+record is built straight from a rendered frame's vest boxes; no export
+format is written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..errors import AnnotationError
 from ..geometry.bbox import BBox
 
-#: Class-name table for exported datasets (class 0 is the paper's target).
+#: Class-name table (class 0 is the paper's target).
 CLASS_NAMES: Tuple[str, ...] = (
     "hazard_vest", "pedestrian", "bicycle", "parked_car",
     "tree", "lamp_post", "bin",
@@ -65,60 +65,6 @@ class AnnotatedImage:
     def vest_boxes(self) -> List[BBox]:
         return [a.box for a in self.annotations
                 if a.class_name == "hazard_vest"]
-
-
-def to_roboflow_record(img: AnnotatedImage) -> Dict:
-    """Serialise to the Roboflow-export-like dict (JSON-compatible)."""
-    return {
-        "image_id": img.image_id,
-        "width": img.width,
-        "height": img.height,
-        "boxes": [
-            {
-                "label": a.class_name,
-                # top-left and bottom-right corners, per the paper.
-                "x_min": a.box.x1, "y_min": a.box.y1,
-                "x_max": a.box.x2, "y_max": a.box.y2,
-            }
-            for a in img.annotations
-        ],
-    }
-
-
-def to_yolo_label(img: AnnotatedImage) -> str:
-    """YOLO txt label: one ``cls cx cy w h`` line per box (normalised).
-
-    This is the format the Roboflow export produces for Ultralytics
-    training (§3.1).
-    """
-    lines = []
-    for a in img.annotations:
-        b = a.box
-        cx = 0.5 * (b.x1 + b.x2) / img.width
-        cy = 0.5 * (b.y1 + b.y2) / img.height
-        w = (b.x2 - b.x1) / img.width
-        h = (b.y2 - b.y1) / img.height
-        lines.append(f"{b.cls} {cx:.6f} {cy:.6f} {w:.6f} {h:.6f}")
-    return "\n".join(lines)
-
-
-def parse_yolo_label(text: str, width: int, height: int) -> List[BBox]:
-    """Parse YOLO label text back to pixel-space boxes."""
-    boxes: List[BBox] = []
-    for line_no, line in enumerate(text.strip().splitlines()):
-        parts = line.split()
-        if len(parts) != 5:
-            raise AnnotationError(
-                f"line {line_no}: expected 5 fields, got {len(parts)}")
-        cls = int(parts[0])
-        cx, cy, w, h = (float(p) for p in parts[1:])
-        if not all(0.0 <= v <= 1.0 for v in (cx, cy, w, h)):
-            raise AnnotationError(
-                f"line {line_no}: normalised values outside [0, 1]")
-        boxes.append(BBox((cx - w / 2) * width, (cy - h / 2) * height,
-                          (cx + w / 2) * width, (cy + h / 2) * height,
-                          cls=cls))
-    return boxes
 
 
 def annotate_frame(image_id: str, frame) -> AnnotatedImage:

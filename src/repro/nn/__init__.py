@@ -32,7 +32,7 @@ from .network import Sequential, count_parameters
 from .workspace import Workspace
 from .fuse import FusedConvBNAct, FusedSequential, fold_conv_bn, fuse_eval
 from .optim import SGD, Adam, CosineWarmupSchedule
-from .losses import bce_with_logits, ciou
+from .losses import bce_with_logits
 from .flops import conv2d_flops
 
 __all__ = [
@@ -44,6 +44,6 @@ __all__ = [
     "Workspace", "fuse_eval", "fold_conv_bn",
     "FusedSequential", "FusedConvBNAct",
     "SGD", "Adam", "CosineWarmupSchedule",
-    "bce_with_logits", "ciou",
+    "bce_with_logits",
     "conv2d_flops",
 ]

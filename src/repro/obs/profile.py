@@ -35,6 +35,7 @@ golden-able artifacts a CI gate can byte-compare:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, SerializationError
@@ -408,11 +409,13 @@ def profile_regressions(
         min_self_ms: float = DEFAULT_MIN_SELF_MS) -> List[dict]:
     """The gate: tracked paths whose self-time p50 regressed.
 
-    Mirrors ``bench-track``'s p99 gate: only paths present in both
-    documents are compared; a path regresses when its head p50 exceeds
-    the base p50 by more than ``max_regress_pct`` percent.  Paths with
-    base p50 below ``min_self_ms`` are never gated (a one-tick path
-    doubling is instrumentation noise, not a hotspot regression), and
+    A path present in both documents regresses when its head p50
+    exceeds the base p50 by more than ``max_regress_pct`` percent; a
+    path only the head has (an added span) regresses when its head p50
+    is at least ``min_self_ms``, reported with base 0 and an infinite
+    percentage.  Paths below ``min_self_ms`` are never gated (a
+    one-tick path doubling is instrumentation noise, not a hotspot
+    regression), paths only the base has never gate, and
     non-deterministic (wall-clock) documents refuse to gate at all.
     """
     if max_regress_pct < 0:
@@ -426,12 +429,15 @@ def profile_regressions(
     out: List[dict] = []
     base_paths = load_profile_document(base)["paths"]
     head_paths = load_profile_document(head)["paths"]
-    for path in sorted(base_paths):
-        h = head_paths.get(path)
-        if h is None:
+    for path in sorted(head_paths):
+        h50 = head_paths[path].get("self_p50_ms")
+        if path not in base_paths:
+            if h50 is not None and float(h50) >= min_self_ms:
+                out.append({"path": path, "baseline": 0.0,
+                            "current": float(h50),
+                            "regress_pct": math.inf})
             continue
         b50 = base_paths[path].get("self_p50_ms")
-        h50 = h.get("self_p50_ms")
         if b50 is None or h50 is None:
             continue
         b50, h50 = float(b50), float(h50)

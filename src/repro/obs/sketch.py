@@ -15,7 +15,7 @@ two regimes:
   min/max/sum/count kept alongside.
 
 It is the repo's one quantile structure: telemetry, the fleet
-aggregator, the bench-track probes and the metrics registry's
+aggregator, the pinned probe snapshots and the metrics registry's
 ``histogram`` instruments all summarise with it.
 
 The phase a sketch ends up in depends only on its *total* count, never

@@ -12,8 +12,8 @@ same contract as the tracer).
 The bus maintains, per ``(device, stage)`` key:
 
 * a **sliding-window sketch** (live "last N seconds" percentiles), and
-* a **cumulative sketch** (whole-run rollup, what ``bench-track``
-  records),
+* a **cumulative sketch** (whole-run rollup, what the pinned probe
+  snapshots record),
 
 and optionally the raw time-ordered sample log, which is what the
 ``repro monitor`` replay renders and what crosses process boundaries:
@@ -173,7 +173,7 @@ class Aggregator:
 
     ``windowed=True`` (the live dashboard view) merges the sliding
     windows ending at ``now_s``; ``windowed=False`` merges the
-    cumulative whole-run sketches (the bench-track view).
+    cumulative whole-run sketches.
     """
 
     def __init__(self, bus: TelemetryBus) -> None:

@@ -217,7 +217,7 @@ def default_chaos_faults(duration_s: float,
                          num_replicas: int = 2
                          ) -> Tuple[FaultSpec, ...]:
     """The canned chaos ladder used by ``serve-sim --chaos``, the
-    ``exp_serving_chaos`` experiment, and the bench-track probes: the
+    ``exp_serving_chaos`` experiment, and the pinned chaos probes: the
     last replica crashes at 40 % of the run (mean downtime 15 % of the
     run) and replica 0 thermally throttles 3× over the 10–25 % window.
     """

@@ -5,8 +5,6 @@ from .metrics import (
     precision,
     recall,
     f1_score,
-    match_detections,
-    average_precision,
 )
 from .eval import (
     VipEvalResult,
@@ -22,7 +20,6 @@ from .surrogate import (
 
 __all__ = [
     "DetectionCounts", "precision", "recall", "f1_score",
-    "match_detections", "average_precision",
     "VipEvalResult", "evaluate_vip_detection",
     "evaluate_detector_on_frames",
     "RetrainProtocol", "RetrainOutcome",

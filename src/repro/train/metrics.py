@@ -1,20 +1,12 @@
-"""Detection metrics: greedy matching, precision/recall/F1, AP.
+"""Detection metrics: TP/FP/FN counts and precision/recall/F1.
 
 The paper's headline metric is precision, which it equates with accuracy
-because its retrained models produce no false positives (§4.2).  The
-matching here is the standard greedy IoU assignment: detections sorted by
-confidence claim the best unmatched ground truth above the IoU threshold.
+because its retrained models produce no false positives (§4.2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-import numpy as np
-
-from ..errors import BenchmarkError
-from ..geometry.bbox import BBox, boxes_to_array, iou_matrix
 
 
 @dataclass
@@ -54,63 +46,3 @@ def f1_score(counts: DetectionCounts) -> float:
     """Harmonic mean of precision and recall."""
     p, r = precision(counts), recall(counts)
     return 2 * p * r / (p + r) if (p + r) > 0 else 0.0
-
-
-def match_detections(pred_boxes: Sequence[BBox],
-                     truth_boxes: Sequence[BBox],
-                     iou_threshold: float = 0.5
-                     ) -> Tuple[DetectionCounts, List[int]]:
-    """Greedy confidence-ordered matching for one image.
-
-    Returns the counts and, for each prediction (in confidence order),
-    the matched truth index or -1.
-    """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise BenchmarkError(
-            f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    counts = DetectionCounts()
-    order = sorted(range(len(pred_boxes)),
-                   key=lambda i: -pred_boxes[i].conf)
-    assignments = [-1] * len(pred_boxes)
-    if not truth_boxes:
-        counts.fp = len(pred_boxes)
-        return counts, assignments
-    t_arr = boxes_to_array(list(truth_boxes))
-    taken = np.zeros(len(truth_boxes), dtype=bool)
-    for i in order:
-        ious = iou_matrix(boxes_to_array([pred_boxes[i]]), t_arr)[0]
-        ious = np.where(taken, -1.0, ious)
-        j = int(ious.argmax())
-        if ious[j] >= iou_threshold:
-            taken[j] = True
-            assignments[i] = j
-            counts.tp += 1
-        else:
-            counts.fp += 1
-    counts.fn = int((~taken).sum())
-    return counts, assignments
-
-
-def average_precision(scored_matches: Sequence[Tuple[float, bool]],
-                      num_truth: int) -> float:
-    """AP from (confidence, is_true_positive) pairs (all-point interp).
-
-    ``num_truth`` is the total ground-truth count across the evaluation.
-    """
-    if num_truth <= 0:
-        raise BenchmarkError("average_precision needs ground truth")
-    if not scored_matches:
-        return 0.0
-    order = sorted(scored_matches, key=lambda sm: -sm[0])
-    tps = np.cumsum([1.0 if m else 0.0 for _, m in order])
-    fps = np.cumsum([0.0 if m else 1.0 for _, m in order])
-    rec = tps / num_truth
-    prec = tps / np.maximum(tps + fps, 1e-12)
-    # Monotone precision envelope, integrate over recall steps.
-    prec_env = np.maximum.accumulate(prec[::-1])[::-1]
-    ap = 0.0
-    prev_r = 0.0
-    for r, p in zip(rec, prec_env):
-        ap += (r - prev_r) * p
-        prev_r = r
-    return float(ap)

@@ -84,11 +84,6 @@ def period_ms_to_fps(period_ms: float) -> float:
     return MS_PER_S / period_ms
 
 
-def fp32_bytes(n_values: int) -> int:
-    """Size in bytes of ``n_values`` float32 numbers (weights/activations)."""
-    return int(n_values) * 4
-
-
 def fp16_bytes(n_values: int) -> int:
     """Size in bytes of ``n_values`` float16 numbers."""
     return int(n_values) * 2

@@ -1,6 +1,5 @@
 """Tests for the adaptive deployment controller and batching model."""
 
-import numpy as np
 import pytest
 
 from repro.core.adaptive import (HEADROOM_UP, AdaptiveArm,

@@ -1,22 +1,11 @@
-"""Tests for annotation records and format round-trips."""
+"""Tests for annotation records."""
 
 import pytest
 
 from repro.dataset.annotations import (CLASS_NAMES, AnnotatedImage,
-                                       Annotation, annotate_frame,
-                                       parse_yolo_label,
-                                       to_roboflow_record, to_yolo_label)
+                                       Annotation, annotate_frame)
 from repro.errors import AnnotationError
 from repro.geometry.bbox import BBox
-
-
-def make_annotated(width=64, height=64):
-    return AnnotatedImage(
-        image_id="footpath/no_pedestrians/000001",
-        width=width, height=height,
-        annotations=(
-            Annotation(BBox(10, 20, 30, 40, cls=0), "hazard_vest"),
-        ))
 
 
 class TestAnnotation:
@@ -39,43 +28,6 @@ class TestAnnotation:
             Annotation(BBox(10, 10, 20, 20, cls=1), "pedestrian"),
         ))
         assert len(img.vest_boxes()) == 1
-
-
-class TestRoboflowFormat:
-    def test_record_fields(self):
-        rec = to_roboflow_record(make_annotated())
-        assert rec["image_id"].startswith("footpath")
-        box = rec["boxes"][0]
-        # Paper §2: class label + top-left and bottom-right corners.
-        assert box["label"] == "hazard_vest"
-        assert (box["x_min"], box["y_min"]) == (10, 20)
-        assert (box["x_max"], box["y_max"]) == (30, 40)
-
-
-class TestYoloFormat:
-    def test_label_line_format(self):
-        text = to_yolo_label(make_annotated())
-        parts = text.split()
-        assert parts[0] == "0"
-        assert len(parts) == 5
-        # cx = 20/64, cy = 30/64, w = 20/64, h = 20/64.
-        assert float(parts[1]) == pytest.approx(20 / 64)
-        assert float(parts[4]) == pytest.approx(20 / 64)
-
-    def test_roundtrip(self):
-        img = make_annotated()
-        text = to_yolo_label(img)
-        boxes = parse_yolo_label(text, img.width, img.height)
-        assert boxes[0].as_tuple() == pytest.approx(
-            img.annotations[0].box.as_tuple())
-
-    def test_parse_bad_field_count(self):
-        with pytest.raises(AnnotationError):
-            parse_yolo_label("0 0.5 0.5 0.1", 64, 64)
-
-    def test_parse_out_of_range(self):
-        with pytest.raises(AnnotationError):
-            parse_yolo_label("0 1.5 0.5 0.1 0.1", 64, 64)
 
 
 class TestAnnotateFrame:

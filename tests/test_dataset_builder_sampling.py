@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.dataset.builder import DatasetBuilder
 from repro.dataset.sampling import (paper_protocol_split, random_sample,
                                     split_test_by_difficulty,
                                     stratified_sample, train_val_split)

@@ -3,8 +3,7 @@ table/figure with all paper claims holding."""
 
 import pytest
 
-from repro.bench.experiments.registry import (EXPERIMENTS,
-                                              FAST_EXPERIMENTS,
+from repro.bench.experiments.registry import (FAST_EXPERIMENTS,
                                               experiment_ids,
                                               run_experiment)
 from repro.errors import BenchmarkError

@@ -14,8 +14,8 @@ hypothesis dependency, so failures replay exactly by trial number):
 import numpy as np
 import pytest
 
-from repro.geometry.bbox import (BBox, boxes_to_array,
-                                 cxcywh_to_xyxy, denormalize_boxes,
+from repro.geometry.bbox import (BBox, cxcywh_to_xyxy,
+                                 denormalize_boxes,
                                  iou_matrix, normalize_boxes,
                                  xyxy_to_cxcywh)
 from repro.geometry.keypoints import NUM_KEYPOINTS, KeypointSet

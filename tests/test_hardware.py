@@ -6,7 +6,7 @@ from repro.errors import HardwareError
 from repro.hardware.device import (DeviceClass, DeviceSpec,
                                    GpuArchitecture)
 from repro.hardware.power import PowerModel, ThermalState
-from repro.hardware.registry import (BENCHMARK_DEVICES, DEVICE_REGISTRY,
+from repro.hardware.registry import (BENCHMARK_DEVICES,
                                      EDGE_DEVICE_ORDER, all_devices,
                                      device_spec, table3_rows)
 from repro.hardware.roofline import RooflineModel

@@ -1,55 +1,13 @@
-"""Tests for YAML subset, checkpoints and report formatting."""
+"""Tests for checkpoints and report formatting."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import BenchmarkError, SerializationError
 from repro.io.report import csv_table, format_float, markdown_table, \
     series_block
 from repro.io.serialization import (load_checkpoint, restore_into,
                                     save_checkpoint)
-from repro.io.yamlish import dump_yaml, load_yaml
-
-
-class TestYaml:
-    def test_scalar_roundtrip(self):
-        data = {"nc": 1, "lr": 0.01, "name": "ocularone", "flag": True}
-        assert load_yaml(dump_yaml(data)) == data
-
-    def test_list_roundtrip(self):
-        data = {"names": ["hazard_vest", "pedestrian"], "nc": 2}
-        assert load_yaml(dump_yaml(data)) == data
-
-    def test_quoted_strings(self):
-        data = {"path": "a: b", "odd": "- starts with dash"}
-        assert load_yaml(dump_yaml(data)) == data
-
-    def test_comments_ignored(self):
-        text = "# comment\nnc: 1\n\n# more\nname: x\n"
-        assert load_yaml(text) == {"nc": 1, "name": "x"}
-
-    def test_bad_line_rejected(self):
-        with pytest.raises(SerializationError):
-            load_yaml("just a bare line\n")
-
-    def test_list_item_outside_list(self):
-        with pytest.raises(SerializationError):
-            load_yaml("- orphan\n")
-
-    def test_unsupported_value(self):
-        with pytest.raises(SerializationError):
-            dump_yaml({"bad": {"nested": 1}})
-
-    @given(st.dictionaries(
-        st.text(alphabet="abcdefgh_", min_size=1, max_size=8),
-        st.one_of(st.integers(-1000, 1000), st.booleans(),
-                  st.text(alphabet="xyz0189 .", max_size=10)),
-        min_size=1, max_size=6))
-    @settings(max_examples=50, deadline=None)
-    def test_property_roundtrip(self, data):
-        assert load_yaml(dump_yaml(data)) == data
 
 
 class TestCheckpoints:

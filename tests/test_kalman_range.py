@@ -5,8 +5,7 @@ import pytest
 
 from repro.core.kalman import (KalmanBoxFilter, KalmanTracker,
                                _box_to_z, _z_to_box)
-from repro.core.range_estimation import (DEFAULT_PERSON_HEIGHT_M,
-                                         FollowController, RangeFusion,
+from repro.core.range_estimation import (FollowController, RangeFusion,
                                          range_from_box_height,
                                          range_from_depth_map)
 from repro.errors import BenchmarkError

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError, TrainingError
-from repro.geometry.keypoints import NUM_KEYPOINTS, KeypointSet
+from repro.geometry.keypoints import NUM_KEYPOINTS
 from repro.models.depth.metrics import depth_metrics
 from repro.models.depth.mini import (D_MAX, D_MIN, DepthTrainer,
-                                     MiniDepth, MiniDepthConfig,
-                                     depth_to_disparity,
+                                     MiniDepth, depth_to_disparity,
                                      disparity_to_depth,
                                      downsample_depth)
 from repro.models.pose.decode import decode_heatmaps, keypoint_error

@@ -10,8 +10,7 @@ from repro.multimodal.fusion import (FusionConfig, fuse_detections,
                                      thermal_detect)
 from repro.multimodal.lidar import (MAX_RANGE_M, LidarConfig, LidarScan,
                                     scan_obstacles, simulate_lidar_scan)
-from repro.multimodal.thermal import (AMBIENT_NIGHT_C, PERSON_TEMP_C,
-                                      SKY_TEMP_C, ThermalConfig,
+from repro.multimodal.thermal import (AMBIENT_NIGHT_C, ThermalConfig,
                                       ThermalRenderer)
 from repro.rng import make_rng
 

@@ -5,8 +5,8 @@ import pytest
 
 from repro.errors import ModelError, ShapeError, TrainingError
 from repro.nn.blocks import ConvBNAct, CSPBlock, ResidualBlock, SPPFBlock
-from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d
-from repro.nn.losses import bce_with_logits, ciou, heatmap_loss
+from repro.nn.layers import Flatten, Linear, MaxPool2d
+from repro.nn.losses import bce_with_logits, heatmap_loss
 from repro.nn.network import (Sequential, clip_grads_, count_parameters,
                               l2_norm_of_grads)
 from repro.nn.optim import SGD, Adam, CosineWarmupSchedule
@@ -205,22 +205,6 @@ class TestLosses:
     def test_bce_shape_mismatch(self):
         with pytest.raises(TrainingError):
             bce_with_logits(np.zeros(3), np.zeros(4))
-
-    def test_ciou_identical_boxes(self):
-        b = np.array([[0, 0, 10, 10.0]])
-        assert ciou(b, b)[0] == pytest.approx(1.0)
-
-    def test_ciou_leq_iou(self):
-        a = np.array([[0, 0, 10, 10.0]])
-        b = np.array([[5, 5, 15, 15.0]])
-        from repro.geometry.bbox import iou_matrix
-        assert ciou(a, b)[0] <= iou_matrix(a, b)[0, 0] + 1e-9
-
-    def test_ciou_penalises_distance(self):
-        a = np.array([[0, 0, 10, 10.0]])
-        near = np.array([[12, 0, 22, 10.0]])
-        far = np.array([[50, 0, 60, 10.0]])
-        assert ciou(a, near)[0] > ciou(a, far)[0]
 
     def test_heatmap_loss_upweights_peaks(self):
         pred = np.zeros((1, 1, 4, 4), dtype=np.float32)

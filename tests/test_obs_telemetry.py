@@ -11,18 +11,17 @@ The load-bearing properties:
   into the parent bus identically to a serial run;
 * an injected latency spike trips the fast+slow burn windows and drives
   :class:`HealthMonitor` to DEGRADED within one fast window;
-* ``bench-track`` trajectory points are byte-identical across runs and
-  the regression gate fires on a worsened p99.
+* ten deterministic latency, serving and fleet probe snapshots
+  reproduce ``tests/golden/bench_probes.json`` byte for byte.
 """
 
-import json
 import math
 import os
 
 import numpy as np
 import pytest
 
-from repro.bench import trajectory
+from repro.bench import profiler
 from repro.bench.parallel import parallel_map
 from repro.cli import main
 from repro.core.fleet import (FleetConfig, FleetScheduler,
@@ -31,6 +30,8 @@ from repro.core.pipeline import PipelineConfig, VipPipeline
 from repro.errors import ConfigError
 from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.faults.health import HealthState
+from repro.io.jsonio import dumps_json
+from repro.latency.runtime import SimulatedRuntime
 from repro.obs import (Aggregator, BurnWindow, MetricsRegistry,
                        MonitorSession, QuantileSketch,
                        SloObjective, SloPolicy, SloTracker,
@@ -38,6 +39,9 @@ from repro.obs import (Aggregator, BurnWindow, MetricsRegistry,
                        WindowedSketch, current_telemetry,
                        use_telemetry)
 from repro.rng import make_rng
+from repro.serving import (ClusterConfig, ClusterSimulator,
+                           FleetSimulator, ReplicaSpec,
+                           default_chaos_faults)
 
 QS = (0.1, 0.5, 0.9, 0.99)
 
@@ -407,78 +411,80 @@ class TestHistogramSatellites:
             h.quantile(1.5)
 
 
-class TestBenchTrack:
-    def test_points_are_byte_identical(self, tmp_path, capsys):
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        assert main(["bench-track", "--label", "ci", "--out-dir",
-                     str(d1), "--frames", "40"]) == 0
-        assert main(["bench-track", "--label", "ci", "--out-dir",
-                     str(d2), "--frames", "40"]) == 0
-        p1 = (d1 / "BENCH_ci.json").read_bytes()
-        p2 = (d2 / "BENCH_ci.json").read_bytes()
-        assert p1 == p2
+PROBES_GOLDEN = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "golden",
+    "bench_probes.json")
 
-    def test_regression_gate_fires(self, tmp_path, capsys):
-        out_dir = tmp_path / "traj"
-        assert main(["bench-track", "--label", "now", "--out-dir",
-                     str(out_dir), "--frames", "40"]) == 0
-        point = trajectory.load_point(
-            str(out_dir / "BENCH_now.json"))
-        # A fabricated faster past: every probe's p99 halved.
-        for snap in point["suite"].values():
-            snap["p99"] = snap["p99"] / 2.0
-        fake = tmp_path / "BENCH_fast.json"
-        fake.write_text(json.dumps(point))
-        assert main(["bench-track", "--label", "now", "--out-dir",
-                     str(out_dir), "--frames", "40",
-                     "--baseline", str(fake)]) == 1
-        err = capsys.readouterr().err
-        assert "REGRESSION" in err
 
-    def test_gate_passes_against_self(self, tmp_path, capsys):
-        out_dir = tmp_path / "traj"
-        assert main(["bench-track", "--label", "a", "--out-dir",
-                     str(out_dir), "--frames", "40"]) == 0
-        assert main(["bench-track", "--label", "b", "--out-dir",
-                     str(out_dir), "--frames", "40"]) == 0
-        assert "no p99 regression" in capsys.readouterr().out
+def _probe_snapshots() -> dict:
+    """Sketch snapshots of ten deterministic probes, by probe name.
 
-    def test_no_probe_name_is_exempt_from_gate(self):
-        # A probe named like the deleted wall-clock probes is gated
-        # like any other.  The name is spelled in two pieces so a
-        # search for those probes finds no live reference.
-        probe = "fleet/shard_wall" "clock@4w"
-        base = {"suite": {probe: {"p99": 100.0}}}
-        cur = {"suite": {probe: {"p99": 150.0}}}
-        regs = trajectory.compare_points(cur, base)
-        assert [r["probe"] for r in regs] == [probe]
+    * ``latency/*`` — 150 simulated frames at the paper grid's corners
+      (smallest/largest variant on the weakest edge board and on the
+      workstation GPU);
+    * ``fleet/e2e@adaptive`` — the 8-drone adaptive fleet scheduler's
+      end-to-end latency, read back through the telemetry bus;
+    * ``serving/e2e@32x-full`` — one dynamic-batching server at 2x
+      overload with predictive shedding (admitted requests);
+    * ``serving/per_frame@b8`` — saturated full-batch execution time
+      per frame, one observation per batch;
+    * ``serving/chaos_e2e@2r`` and ``serving/failover_recovery@2r`` —
+      two replicas through the canned crash/slowdown ladder;
+    * ``fleet/merged_e2e@4c`` — the merged tail of the small
+      cell-sharded fleet that ``repro profile``'s ``fleet_cells``
+      probe runs.
+    """
+    suite = {}
+    runtime = SimulatedRuntime()
+    for model in ("yolov8-n", "yolov11-m"):
+        for device in ("orin-nano", "rtx4090"):
+            run = runtime.run(model, device, 150)
+            suite[f"latency/{model}@{device}"] = \
+                _sketch_of(run.samples_ms).snapshot()
 
-    def test_suite_matches_committed_baseline(self, tmp_path):
-        """Every emitted probe is gated, and recapturing the baseline
-        reproduces the committed bytes."""
-        committed = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            trajectory.DEFAULT_OUT_DIR, "BENCH_baseline.json")
-        suite = trajectory.run_suite()
-        assert sorted(suite) \
-            == sorted(trajectory.load_point(committed)["suite"])
-        fresh = trajectory.write_point(str(tmp_path), "baseline", suite)
-        with open(committed, "rb") as fh_committed, \
-                open(fresh, "rb") as fh_fresh:
-            assert fh_fresh.read() == fh_committed.read()
+    bus = TelemetryBus(record=False)
+    with use_telemetry(bus):
+        FleetScheduler(FleetConfig(num_drones=8, duration_s=5.0)).run(
+            SchedulingPolicy.ADAPTIVE)
+    suite["fleet/e2e@adaptive"] = Aggregator(bus).fleet_sketch(
+        "e2e", 0.0, windowed=False).snapshot()
 
-    def test_previous_point_prefers_baseline(self, tmp_path):
-        out_dir = str(tmp_path)
-        trajectory.write_point(out_dir, "2026-01-01", {})
-        trajectory.write_point(out_dir, "baseline", {})
-        assert trajectory.previous_point(out_dir, "ci") \
-            == trajectory.point_path(out_dir, "baseline")
-        assert trajectory.previous_point(out_dir, "baseline") \
-            == trajectory.point_path(out_dir, "2026-01-01")
+    shed = ClusterSimulator(ClusterConfig(
+        replicas=(ReplicaSpec(model="yolov8-m", device="rtx4090"),),
+        num_streams=32, admission="full", duration_s=5.0)).run()
+    suite["serving/e2e@32x-full"] = \
+        _sketch_of(shed.latencies_ms).snapshot()
 
-    def test_bad_label_rejected(self, tmp_path):
-        with pytest.raises(Exception):
-            trajectory.write_point(str(tmp_path), "a/b", {})
+    sim = ClusterSimulator(ClusterConfig(
+        replicas=(ReplicaSpec(model="yolov8-m", device="rtx4090",
+                              queue_capacity=512, max_batch=8),),
+        num_streams=16, admission="none", duration_s=5.0))
+    suite["serving/per_frame@b8"] = _sketch_of(
+        sim.batch_latency_ms(0, b) / b
+        for b in sim.run().batch_sizes).snapshot()
+
+    chaos = ClusterSimulator(ClusterConfig(
+        num_streams=16, duration_s=5.0, seed=7,
+        faults=default_chaos_faults(5.0, 2))).run()
+    suite["serving/chaos_e2e@2r"] = \
+        _sketch_of(chaos.latencies_ms).snapshot()
+    suite["serving/failover_recovery@2r"] = \
+        _sketch_of(chaos.crash_recoveries_ms).snapshot()
+
+    suite["fleet/merged_e2e@4c"] = FleetSimulator(
+        profiler._fleet_sim_config()).run().sketch.snapshot()
+    return suite
+
+
+class TestProbePin:
+    def test_probes_match_committed_golden(self):
+        """Recapturing the ten probe snapshots reproduces the committed
+        bytes: any change to a latency, serving or fleet number shows
+        up here, with no tolerance."""
+        with open(PROBES_GOLDEN, "rb") as fh:
+            committed = fh.read()
+        fresh = (dumps_json(_probe_snapshots()) + "\n").encode("utf-8")
+        assert fresh == committed
 
 
 class TestCliSurfaces:

@@ -6,7 +6,8 @@ The acceptance criteria live here in machine-checked form:
 * ``repro profile`` output is byte-identical across reruns and across
   shard counts {1, 4} (and across 1-vs-N ``parallel_map`` workers);
 * ``repro profile --diff`` exits non-zero when a tracked path's
-  self-time p50 regresses beyond tolerance;
+  self-time p50 regresses beyond tolerance or a new path reaches the
+  noise floor;
 * the committed ``profile_baseline/PROFILE_baseline.json`` is fresh —
   recapturing it reproduces the committed bytes exactly.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 
 import pytest
@@ -301,6 +303,7 @@ class TestDiffGate:
     def test_noise_floor_skips_tiny_paths(self):
         base, head = self._docs()
         head["paths"]["cold/path"]["self_p50_ms"] = 100.0
+        head["paths"]["new/path"] = dict(base["paths"]["cold/path"])
         assert profile_regressions(base, head) == []
 
     def test_within_tolerance_passes(self):
@@ -318,8 +321,11 @@ class TestDiffGate:
                   for r in diff_profiles(base, head)}
         assert status["cold/path"] == "removed"
         assert status["new/path"] == "added"
-        # removed/added paths never gate (present-in-both only)
-        assert profile_regressions(base, head) == []
+        # an added path above the noise floor gates; a removed one never
+        hits = profile_regressions(base, head)
+        assert [h["path"] for h in hits] == ["new/path"]
+        assert hits[0]["baseline"] == 0.0
+        assert hits[0]["regress_pct"] == math.inf
 
     def test_nondeterministic_documents_refuse_to_gate(self):
         base, head = self._docs()
@@ -376,6 +382,25 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "REGRESSION" in err and hot in err
+
+    def test_profile_diff_added_span_exits_nonzero(self, tmp_path,
+                                                   capsys):
+        """One added span (a new path with 399 ms of self time) fails
+        the gate, even though every shared path is unchanged."""
+        base_p = tmp_path / "base.json"
+        head_p = tmp_path / "head.json"
+        assert main(["profile", "nn_forward",
+                     "--out", str(base_p)]) == 0
+        doc = json.loads(base_p.read_text())
+        added = "probe:nn_forward/extra"
+        doc["paths"][added] = dict(
+            next(iter(doc["paths"].values())), self_ms=399.0,
+            self_p50_ms=399.0, self_p99_ms=399.0)
+        head_p.write_text(dumps_json(doc))
+        rc = main(["profile", "--diff", str(base_p), str(head_p)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{added}: 0.00 -> 399.00 ms (new path)" in err
 
     def test_profile_diff_missing_file_is_cli_error(self, tmp_path):
         assert main(["profile", "--diff", str(tmp_path / "a.json"),

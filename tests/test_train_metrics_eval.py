@@ -1,6 +1,5 @@
 """Tests for detection metrics and the VIP evaluation protocol."""
 
-import numpy as np
 import pytest
 
 from repro.errors import BenchmarkError
@@ -8,8 +7,7 @@ from repro.geometry.bbox import BBox
 from repro.models.yolo.postprocess import Detection
 from repro.train.eval import (evaluate_detector_on_frames,
                               evaluate_vip_detection)
-from repro.train.metrics import (DetectionCounts, average_precision,
-                                 f1_score, match_detections, precision,
+from repro.train.metrics import (DetectionCounts, f1_score, precision,
                                  recall)
 
 
@@ -34,59 +32,6 @@ class TestCounts:
         b = DetectionCounts(4, 5, 6)
         s = a + b
         assert (s.tp, s.fp, s.fn) == (5, 7, 9)
-
-
-class TestMatching:
-    def test_exact_match(self):
-        preds = [BBox(0, 0, 10, 10, conf=0.9)]
-        truths = [BBox(0, 0, 10, 10)]
-        counts, assign = match_detections(preds, truths)
-        assert counts.tp == 1 and counts.fp == 0 and counts.fn == 0
-        assert assign == [0]
-
-    def test_greedy_order_by_confidence(self):
-        truths = [BBox(0, 0, 10, 10)]
-        preds = [BBox(0, 0, 10, 10, conf=0.5),
-                 BBox(1, 1, 11, 11, conf=0.9)]
-        counts, assign = match_detections(preds, truths,
-                                          iou_threshold=0.5)
-        # Higher-confidence pred claims the truth; the other is FP.
-        assert assign[1] == 0 and assign[0] == -1
-        assert counts.tp == 1 and counts.fp == 1
-
-    def test_no_truth_all_fp(self):
-        counts, _ = match_detections([BBox(0, 0, 5, 5, conf=0.9)], [])
-        assert counts.fp == 1 and counts.tp == 0
-
-    def test_unmatched_truth_fn(self):
-        counts, _ = match_detections([], [BBox(0, 0, 5, 5)])
-        assert counts.fn == 1
-
-    def test_threshold_validation(self):
-        with pytest.raises(BenchmarkError):
-            match_detections([], [], iou_threshold=0.0)
-
-
-class TestAveragePrecision:
-    def test_perfect(self):
-        ap = average_precision([(0.9, True), (0.8, True)], num_truth=2)
-        assert ap == pytest.approx(1.0)
-
-    def test_all_wrong(self):
-        ap = average_precision([(0.9, False)], num_truth=2)
-        assert ap == 0.0
-
-    def test_interleaved(self):
-        ap = average_precision(
-            [(0.9, True), (0.8, False), (0.7, True)], num_truth=2)
-        assert 0.5 < ap < 1.0
-
-    def test_empty_predictions(self):
-        assert average_precision([], num_truth=3) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(BenchmarkError):
-            average_precision([(0.9, True)], num_truth=0)
 
 
 class TestVipEvaluation:

@@ -36,7 +36,6 @@ class TestUnits:
             units.period_ms_to_fps(0)
 
     def test_fp_sizes(self):
-        assert units.fp32_bytes(10) == 40
         assert units.fp16_bytes(10) == 20
 
     def test_tflops_conversion(self):

@@ -47,9 +47,9 @@ Caveats on interpretation:
 
 FOOTER = """---
 
-## Observing a run: `monitor` and `bench-track`
+## Observing a run: `monitor`, `serve-sim` and `profile`
 
-Beyond the tables above, two CLI surfaces watch experiments run rather
+Beyond the tables above, three CLI surfaces watch experiments run rather
 than summarise them afterwards (see DESIGN.md, "Streaming telemetry"):
 
 * ``python -m repro monitor ablation_fleet [--spike]`` re-runs the
@@ -72,30 +72,6 @@ than summarise them afterwards (see DESIGN.md, "Streaming telemetry"):
   emit per-stage and e2e samples; edge-device runs add power and
   temperature from the thermal model).
 
-* ``python -m repro bench-track --label <label>`` runs the
-  deterministic probe suite and appends one
-  ``bench_trajectory/BENCH_<label>.json`` trajectory point:
-
-  ```
-  trajectory point: bench_trajectory/BENCH_ci.json
-    fleet/e2e@adaptive: n=400 p50=31.72 p95=31.72 p99=31.72
-    latency/yolov8-n@orin-nano: n=150 p50=32.37 p95=35.07 p99=36.59
-    serving/e2e@32x-full: n=808 p50=74.97 p95=97.50 p99=99.50
-  no p99 regression vs bench_trajectory/BENCH_baseline.json (tolerance 10%)
-  ```
-
-  Points embed no timestamps, so the same tree writes byte-identical
-  files; CI compares every push against the committed
-  ``BENCH_baseline.json`` and fails on a >10 % p99 regression.  The
-  suite includes two serving probes — admitted-request e2e latency at
-  2× overload with predictive shedding, and the saturated full-batch
-  per-frame execution time — so regressions in the batcher or the
-  admission path trip the p99 gate too, plus the merged e2e tail of
-  the cell-sharded fleet (``fleet/merged_e2e@4c``, golden-safe because
-  the merge is shard-count invariant).  Every probe is gated; none
-  is a wall-clock time.  Wall-clock speed is measured by
-  ``perfbench/run.py`` and compared with ``perfbench/compare.py``.
-
 * ``python -m repro serve-sim [--streams N --policy P --check]`` runs
   the dynamic-batching serving simulator (``repro.serving``,
   ``exp_serving`` above: one server is a one-replica
@@ -114,11 +90,10 @@ than summarise them afterwards (see DESIGN.md, "Streaming telemetry"):
   reruns the fleet single-shard and fails on any byte difference in
   the merged metrics — the shard-count invariance gate CI runs.
 
-* ``python -m repro profile [targets...]`` is the hotspot twin of
-  bench-track: it runs its targets (experiment ids and/or the
-  ``nn_forward`` / ``fleet_cells`` probes) under the deterministic
-  tick clock and attributes time to canonical span paths instead of
-  probe-level percentiles.  The committed baseline at
+* ``python -m repro profile [targets...]`` runs its targets
+  (experiment ids and/or the ``nn_forward`` / ``fleet_cells`` probes)
+  under the deterministic tick clock and attributes time to canonical
+  span paths.  The committed baseline at
   ``profile_baseline/PROFILE_baseline.json`` captures the default
   target set — ``ablation_pipeline`` (renderer rasterization),
   ``exp_serving`` (serving event loop), ``fleet_cells`` (fleet merge
@@ -130,6 +105,13 @@ than summarise them afterwards (see DESIGN.md, "Streaming telemetry"):
   deltas of a regenerated baseline.  Regenerate after intentional
   hot-path changes with ``python -m repro profile --out
   profile_baseline/PROFILE_baseline.json``.
+
+Ten deterministic sketch snapshots (latency at the grid's corners, the
+fleet scheduler, the serving and chaos probes, the sharded fleet's
+merged tail) are pinned byte for byte in
+``tests/golden/bench_probes.json`` by tier-1.  None of them is a
+wall-clock time: speed is measured by ``perfbench/run.py`` and
+compared with ``perfbench/compare.py``.
 """
 
 ORDER = ["table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4",
