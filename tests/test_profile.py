@@ -32,6 +32,7 @@ from repro.obs import (Profile, TickClock, Tracer, build_profile,
                        load_profile_document, profile_document,
                        profile_regressions, render_profile,
                        span_paths, use_tracer)
+from repro.obs.profile import PATH_SEP
 from repro.obs.tracer import Span
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -337,6 +338,69 @@ class TestDiffGate:
         base, head = self._docs()
         with pytest.raises(ConfigError):
             profile_regressions(base, head, max_regress_pct=-1)
+
+
+#: Experiments traced by the equivalence pin: a dataset build plus
+#: pipeline frames (9 paths), the serving event loop (6 paths) and a
+#: root-only run (1 path).
+EQUIVALENCE_TARGETS = ("ablation_pipeline", "exp_serving", "table2")
+
+
+@pytest.fixture(scope="module")
+def wall_traces():
+    """Each equivalence target traced once on the wall clock."""
+    from repro.bench.experiments.registry import run_experiment
+    traces = {}
+    for eid in EQUIVALENCE_TARGETS:
+        tracer = Tracer()
+        with use_tracer(tracer):
+            run_experiment(eid, enforce_claims=False)
+        traces[eid] = tracer.finished_spans()
+    return traces
+
+
+def _name_fold(spans):
+    """Reference fold: ``{path: (count, events, incl ms, excl ms)}``
+    from walking the aggregated name tree root to leaf."""
+    from repro.obs import aggregate_tree
+    rows = {}
+
+    def walk(node, prefix):
+        path = f"{prefix}/{node.name}" if prefix else node.name
+        rows[path] = (node.count, node.events,
+                      node.inclusive_s * 1e3, node.exclusive_s * 1e3)
+        for child in node.children.values():
+            walk(child, path)
+
+    for root in aggregate_tree(spans):
+        walk(root, "")
+    return rows
+
+
+class TestOneAggregation:
+    """``build_profile(quantize=False)`` reproduces the recursive
+    name-path fold on real wall-clock traces: same paths, counts and
+    events, inclusive == ``total_ms``, exclusive == ``self_ms``, and
+    the same closure line."""
+
+    @pytest.mark.parametrize("eid", EQUIVALENCE_TARGETS)
+    def test_profile_matches_name_fold(self, wall_traces, eid):
+        spans = wall_traces[eid]
+        ref = _name_fold(spans)
+        prof = build_profile(spans, quantize=False)
+        assert set(prof.paths) == set(ref)
+        for path, (count, events, incl, excl) in ref.items():
+            stats = prof.paths[path]
+            assert (stats.count, stats.events) == (count, events), path
+            assert stats.total_ms == pytest.approx(incl, abs=1e-6)
+            assert stats.self_ms == pytest.approx(excl, abs=1e-6)
+        ref_roots = sum(incl for path, (_, _, incl, _) in ref.items()
+                        if "/" not in path)
+        ref_excl = sum(excl for _, _, _, excl in ref.values())
+        roots = sum(stats.total_ms for path, stats in prof.paths.items()
+                    if PATH_SEP not in path)
+        assert roots == pytest.approx(ref_roots, abs=1e-6)
+        assert prof.total_self_ms() == pytest.approx(ref_excl, abs=1e-6)
 
 
 class TestCli:
