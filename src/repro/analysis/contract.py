@@ -295,22 +295,23 @@ class TelemetryNamingRule(Rule):
 
 @register
 class ProfileBaselineRule(Rule):
-    """RL104 — the profile gate needs its committed baseline.
+    """RL104 — the profile byte pin needs its committed baseline.
 
-    ``repro profile --diff`` only catches regressions when there is a
-    pinned reference to diff against.  Whenever ``cli.py`` exposes a
+    Tier-1's freshness test recaptures the baseline and compares bytes,
+    so span-structure changes are caught only when there is a pinned
+    reference to compare against.  Whenever ``cli.py`` exposes a
     ``profile`` subcommand, the repo must commit a loadable profile
     document at ``profile_baseline/PROFILE_baseline.json``: strict
     JSON, the current schema, deterministic (tick-clock captured — a
-    wall-clock baseline would gate on machine speed), and a non-empty
+    wall-clock baseline would pin machine speed), and a non-empty
     path table.  Silent when there is no CLI or no ``profile``
     subcommand, matching the other contract rules.
     """
 
     rule_id = "RL104"
     title = "profile CLI without valid committed baseline"
-    rationale = ("a profile gate without a committed deterministic "
-                 "baseline cannot catch hot-path regressions")
+    rationale = ("a profile byte pin without a committed deterministic "
+                 "baseline cannot catch span-structure changes")
     scope = "repo"
 
     cli_suffix = "repro/cli.py"

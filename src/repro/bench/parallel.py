@@ -102,8 +102,7 @@ def _serial_map(fn: Callable[[T], R], items: Sequence[T],
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T],
-                 workers: Optional[int] = None,
-                 force_serial: bool = False) -> List[R]:
+                 workers: Optional[int] = None) -> List[R]:
     """Order-preserving map over a process pool with serial fallback.
 
     Results arrive in input order regardless of completion order.  Any
@@ -125,7 +124,7 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T],
     if not items:
         return []
     tracer = current_tracer()
-    if force_serial or n_workers == 1 or len(items) < MIN_PARALLEL_ITEMS:
+    if n_workers == 1 or len(items) < MIN_PARALLEL_ITEMS:
         return _serial_map(fn, items, tracer)
     bus = current_telemetry()
     traced = tracer.enabled

@@ -26,7 +26,6 @@ byte-stable, CI-gateable artifact.  Wall-clock speed is measured by
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -35,7 +34,7 @@ import numpy as np
 from ..errors import BenchmarkError
 from ..io.jsonio import dump_json
 from ..obs import (Profile, TickClock, Tracer, build_profile,
-                   load_profile_document, profile_document, use_tracer)
+                   profile_document, use_tracer)
 from ..rng import make_rng
 
 #: Where the pinned CI reference profile lives.
@@ -197,15 +196,3 @@ def write_profile(path: str, doc: dict) -> str:
     the path.  Byte-stable: same document, same bytes."""
     return dump_json(path, doc)
 
-
-def load_profile(path: str) -> dict:
-    """Load and validate a profile document from disk."""
-    if not os.path.exists(path):
-        raise BenchmarkError(f"no profile at {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise BenchmarkError(
-                f"malformed profile JSON at {path}: {exc}") from exc
-    return load_profile_document(doc)

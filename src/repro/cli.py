@@ -6,17 +6,15 @@ Commands:
 * ``run <experiment-id> [...]`` — run experiments and print their
   markdown reports (claims are enforced unless ``--no-enforce``);
 * ``trace <experiment-id>`` — run one experiment under the span
-  tracer; print the aggregated span tree (inclusive/exclusive wall
-  times) and write a Chrome ``trace_event`` JSON file; ``--json``
-  prints the same span-closure records as a machine-readable profile
-  document (the schema ``repro profile`` writes) instead of the table;
+  tracer; print its wall-clock profile (per-path total/self times,
+  every path) with the closure line and write a Chrome
+  ``trace_event`` JSON file; ``--json`` prints the same profile as a
+  machine-readable document (the schema ``repro profile`` writes)
+  instead of the table;
 * ``profile [target ...]`` — run targets (experiment ids or the
   ``nn_forward``/``fleet_cells`` probes) under the deterministic tick
   clock, print the ranked hotspot table and write the profile JSON
   plus optional folded-stacks flamegraph output;
-  ``--diff BASE HEAD`` instead compares two profile documents and
-  exits non-zero when any tracked path's self-time p50 regresses past
-  the tolerance or a path new in HEAD reaches the noise floor;
 * ``monitor <experiment-id>`` — run an experiment under the telemetry
   bus and replay it as a fleet dashboard (per-device percentiles, SLO
   burn rates, health states); ``--spike`` injects a thermal-throttle
@@ -100,30 +98,28 @@ def _cmd_run(args) -> int:
 def _cmd_trace(args) -> int:
     from .bench.experiments.registry import run_experiment
     from .io.jsonio import dumps_json
-    from .obs import (Tracer, aggregate_tree, build_profile,
-                      exclusive_total_s, profile_document, render_tree,
-                      use_tracer, write_chrome_trace,
+    from .obs import (Tracer, build_profile, profile_document,
+                      render_profile, use_tracer, write_chrome_trace,
                       write_spans_jsonl)
+    from .obs.profile import PATH_SEP
     tracer = Tracer()
     with use_tracer(tracer):
         result = run_experiment(args.experiment,
                                 enforce_claims=args.enforce)
     spans = tracer.finished_spans()
+    profile = build_profile(spans, quantize=False)
     if args.json:
-        # The same span-closure records the table prints, in the
-        # profile-document schema (wall-clock, so ungateable).
-        profile = build_profile(spans, quantize=False)
         print(dumps_json(profile_document(
             profile, targets=[args.experiment], deterministic=False)))
     else:
-        print(render_tree(spans))
+        print(render_profile(profile, top=len(profile.paths)))
 
-        roots = aggregate_tree(spans)
-        incl = sum(r.inclusive_s for r in roots)
-        excl = sum(exclusive_total_s(r) for r in roots)
+        incl = sum(stats.total_ms for path, stats in profile.paths.items()
+                   if PATH_SEP not in path)
+        excl = profile.total_self_ms()
         closure = 100.0 * excl / incl if incl > 0 else float("nan")
-        print(f"\nroot inclusive: {incl * 1e3:.2f} ms; "
-              f"exclusive sum: {excl * 1e3:.2f} ms "
+        print(f"\nroot inclusive: {incl:.2f} ms; "
+              f"exclusive sum: {excl:.2f} ms "
               f"({closure:.2f}% closure)")
 
         if result.metrics:
@@ -154,44 +150,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_profile(args) -> int:
     from .bench import profiler
-    from .obs import (diff_profiles, folded_stacks,
-                      profile_regressions, render_profile)
-    if args.diff:
-        base_path, head_path = args.diff
-        base = profiler.load_profile(base_path)
-        head = profiler.load_profile(head_path)
-        rows = diff_profiles(base, head)
-        moved = [r for r in rows if r["status"] != "common"
-                 or r["delta_self_ms"]]
-        if moved:
-            print(f"{'path':<52s} {'base self':>10s} "
-                  f"{'head self':>10s} {'delta':>9s}")
-            for r in moved[:args.top]:
-                label = r["path"] if len(r["path"]) <= 52 \
-                    else "..." + r["path"][-49:]
-                print(f"{label:<52s} {r['base_self_ms']:>10.2f} "
-                      f"{r['head_self_ms']:>10.2f} "
-                      f"{r['delta_self_ms']:>+9.2f}")
-        else:
-            print("profiles are identical on every path")
-        regressions = profile_regressions(
-            base, head, max_regress_pct=args.max_regress_pct,
-            min_self_ms=args.min_self_ms)
-        if regressions:
-            print(f"self-time p50 REGRESSION vs {base_path} "
-                  f"(tolerance {args.max_regress_pct:g}%):",
-                  file=sys.stderr)
-            for r in regressions:
-                pct = f"+{r['regress_pct']:.1f}%" if r["baseline"] \
-                    else "new path"
-                print(f"  {r['path']}: {r['baseline']:.2f} -> "
-                      f"{r['current']:.2f} ms ({pct})", file=sys.stderr)
-            return 1
-        print(f"no self-time p50 regression vs {base_path} "
-              f"(tolerance {args.max_regress_pct:g}%)")
-        return 0
-
-    from .obs import profile_document
+    from .obs import folded_stacks, profile_document, render_profile
     targets = profiler.resolve_targets(args.targets)
     profile = profiler.capture_profile(targets, shards=args.shards)
     doc = profile_document(profile, targets=targets)
@@ -571,16 +530,15 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--jsonl", default=None,
                          help="also write spans as JSON-lines here")
     trace_p.add_argument("--json", action="store_true",
-                         help="print the span-closure records as a "
-                              "profile-schema JSON document instead "
-                              "of the table")
+                         help="print the profile as a profile-schema "
+                              "JSON document instead of the table")
     trace_p.add_argument("--no-enforce", dest="enforce",
                          action="store_false", default=True,
                          help="do not fail on violated paper claims")
 
     prof_p = sub.add_parser(
         "profile", help="deterministic hotspot profile: ranked table, "
-                        "folded stacks, diffable JSON")
+                        "folded stacks, JSON")
     prof_p.add_argument("targets", nargs="*",
                         help="experiment ids and/or probes "
                              "(nn_forward, fleet_cells); default: the "
@@ -592,24 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write folded-stacks (collapsed "
                              "flamegraph format) here")
     prof_p.add_argument("--top", type=int, default=20,
-                        help="rows in the hotspot/diff table "
-                             "(default 20)")
+                        help="rows in the hotspot table (default 20)")
     prof_p.add_argument("--shards", type=int, default=1,
                         help="worker processes for shardable probes; "
                              "profiles are byte-identical for any "
                              "shard count")
-    prof_p.add_argument("--diff", nargs=2, default=None,
-                        metavar=("BASE.json", "HEAD.json"),
-                        help="compare two profile documents; exit "
-                             "non-zero on self-time p50 regression "
-                             "or an added path")
-    prof_p.add_argument("--max-regress-pct", type=float, default=10.0,
-                        help="p50 self-time regression tolerance in "
-                             "percent (default 10)")
-    prof_p.add_argument("--min-self-ms", type=float, default=2.0,
-                        help="gate only paths whose baseline (for an "
-                             "added path, head) self-time p50 is at "
-                             "least this (default 2)")
 
     mon_p = sub.add_parser(
         "monitor", help="replay an experiment's telemetry as a "

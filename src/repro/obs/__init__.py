@@ -10,7 +10,8 @@ The harness-wide contract:
   underneath into data on ``t``; ``with use_telemetry(TelemetryBus())``
   does the same for per-frame telemetry samples;
 * finished traces export as JSON-lines or Chrome ``trace_event`` files
-  and print as an aggregated span tree (``python -m repro trace``);
+  and print as a per-path :class:`Profile` table
+  (``python -m repro trace``);
 * telemetry aggregates into mergeable sliding-window quantile sketches
   (:mod:`repro.obs.sketch`), rolls up across the fleet
   (:class:`Aggregator`), is judged against SLO burn-rate policies
@@ -23,14 +24,11 @@ from .metrics import (Counter, Gauge, MetricsRegistry, NULL_METRICS,
 from .tracer import (NULL_SPAN, NULL_TRACER, NullTracer, Span,
                      SpanEvent, TraceContext, Tracer, current_tracer,
                      default_clock, record_event, use_tracer)
-from .export import (aggregate_tree, chrome_trace, exclusive_total_s,
-                     render_tree, spans_to_jsonl_rows,
+from .export import (chrome_trace, spans_to_jsonl_rows,
                      write_chrome_trace, write_spans_jsonl)
-from .profile import (DEFAULT_MAX_REGRESS_PCT, DEFAULT_MIN_SELF_MS,
-                      PROFILE_SCHEMA, PathStats, Profile, TickClock,
-                      build_profile, diff_profiles, folded_stacks,
-                      load_profile_document, profile_document,
-                      profile_regressions, render_profile, span_paths)
+from .profile import (PROFILE_SCHEMA, PathStats, Profile, TickClock,
+                      build_profile, folded_stacks, profile_document,
+                      render_profile, span_paths)
 from .sketch import (DEFAULT_BUCKETS_MS, DEFAULT_BUFFER_CAP,
                      DEFAULT_QUANTILES, QuantileSketch, SlidingWindow,
                      WindowedCounter, WindowedSketch,
@@ -49,14 +47,11 @@ __all__ = [
     "Span", "SpanEvent", "TraceContext", "Tracer", "NullTracer",
     "NULL_SPAN", "NULL_TRACER", "current_tracer", "use_tracer",
     "record_event", "default_clock",
-    "aggregate_tree", "chrome_trace", "exclusive_total_s",
-    "render_tree", "spans_to_jsonl_rows", "write_chrome_trace",
+    "chrome_trace", "spans_to_jsonl_rows", "write_chrome_trace",
     "write_spans_jsonl",
-    "DEFAULT_MAX_REGRESS_PCT", "DEFAULT_MIN_SELF_MS",
     "PROFILE_SCHEMA", "PathStats", "Profile", "TickClock",
-    "build_profile", "diff_profiles", "folded_stacks",
-    "load_profile_document", "profile_document",
-    "profile_regressions", "render_profile", "span_paths",
+    "build_profile", "folded_stacks", "profile_document",
+    "render_profile", "span_paths",
     "DEFAULT_BUFFER_CAP", "QuantileSketch", "SlidingWindow",
     "WindowedCounter", "WindowedSketch",
     "Aggregator", "NULL_TELEMETRY", "NullTelemetryBus",

@@ -1,8 +1,11 @@
-"""Deterministic profiling: span trees → hotspot rankings → diff gates.
+"""Span aggregation: span trees → per-path hotspot rankings.
 
 The tracer records *what* ran; this module turns those span trees into
-*where the time goes* — and does it deterministically, so profiles are
-golden-able artifacts a CI gate can byte-compare:
+*where the time goes*.  :func:`build_profile` is the repo's one span
+aggregation: ``repro profile`` runs it on the tick clock, so its
+profiles are golden-able artifacts a test can byte-compare, and
+``repro trace`` runs it on the wall clock for its table, closure line
+and ``--json`` document:
 
 * **Canonical span paths.**  Every span is keyed by the ``/``-joined
   names on its root-to-span chain (``experiment:ablation_pipeline/
@@ -15,9 +18,8 @@ golden-able artifacts a CI gate can byte-compare:
   machine-independent, byte-identical run to run, and (with
   :meth:`~repro.obs.tracer.Tracer.adopt`'s read-advancement contract
   plus :meth:`TickClock.spawn` propagation into ``parallel_map``
-  workers) identical for any worker/shard count.  Real profiling is
-  still available by capturing with the default wall clock; such
-  profiles are marked non-deterministic and never regression-gated.
+  workers) identical for any worker/shard count.  Wall-clock
+  captures (``repro trace``) are marked non-deterministic.
 * **Mergeable per-path stats.**  :class:`PathStats` carries count,
   inclusive ("total") and exclusive ("self") time plus a
   :class:`~repro.obs.sketch.QuantileSketch` of per-occurrence self
@@ -29,13 +31,11 @@ golden-able artifacts a CI gate can byte-compare:
   table; :func:`folded_stacks` emits the standard ``collapsed``
   flamegraph format (``a;b;c <self-units>`` per line, ready for
   ``flamegraph.pl`` / speedscope); :func:`profile_document` is the
-  machine-readable JSON; :func:`diff_profiles` computes per-path
-  deltas and the regression gate ``repro profile --diff`` exits on.
+  machine-readable JSON.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, SerializationError
@@ -51,15 +51,8 @@ PATH_SEP = "/"
 #: Separator of the ``collapsed`` flamegraph stack format.
 FOLDED_SEP = ";"
 
-#: Quantiles surfaced per path (p50 is the gated one).
+#: Quantiles of per-occurrence self time surfaced per path.
 PROFILE_QUANTILES = (0.50, 0.95, 0.99)
-
-#: Default diff-gate tolerance on self-time p50, in percent.
-DEFAULT_MAX_REGRESS_PCT = 10.0
-
-#: Paths whose baseline self-time p50 is below this are not gated —
-#: a one-tick path doubling is noise, not a regression.
-DEFAULT_MIN_SELF_MS = 2.0
 
 
 class TickClock:
@@ -317,19 +310,6 @@ def profile_document(profile: Profile,
     }
 
 
-def load_profile_document(doc: dict) -> dict:
-    """Validate a loaded profile document (raises on malformed)."""
-    if not isinstance(doc, dict) or not isinstance(
-            doc.get("paths"), dict):
-        raise SerializationError("malformed profile document: "
-                                 "missing 'paths' mapping")
-    if doc.get("schema") != PROFILE_SCHEMA:
-        raise SerializationError(
-            f"unsupported profile schema {doc.get('schema')!r} "
-            f"(expected {PROFILE_SCHEMA})")
-    return doc
-
-
 def folded_stacks(profile: Profile) -> str:
     """The standard ``collapsed`` flamegraph format.
 
@@ -369,82 +349,3 @@ def render_profile(profile: Profile, top: int = 20,
                  f"{len(profile.paths)} paths, {pct:.1f}% of "
                  f"{float(grand):.{digits}f} ms total self time)")
     return "\n".join(lines)
-
-
-# -- diffing and the regression gate ------------------------------------------
-
-
-def diff_profiles(base: dict, head: dict) -> List[dict]:
-    """Per-path deltas between two profile documents.
-
-    One row per path present in either document, sorted by absolute
-    self-time delta (descending, path tie-break).  Paths missing on a
-    side contribute zeros there and are flagged ``added``/``removed``.
-    """
-    base_paths = load_profile_document(base)["paths"]
-    head_paths = load_profile_document(head)["paths"]
-    rows: List[dict] = []
-    for path in sorted(set(base_paths) | set(head_paths)):
-        b = base_paths.get(path)
-        h = head_paths.get(path)
-        b_self = float(b["self_ms"]) if b else 0.0
-        h_self = float(h["self_ms"]) if h else 0.0
-        rows.append({
-            "path": path,
-            "status": "added" if b is None
-            else "removed" if h is None else "common",
-            "base_self_ms": b_self,
-            "head_self_ms": h_self,
-            "delta_self_ms": h_self - b_self,
-            "base_self_p50_ms": float(b["self_p50_ms"]) if b else None,
-            "head_self_p50_ms": float(h["self_p50_ms"]) if h else None,
-        })
-    rows.sort(key=lambda r: (-abs(r["delta_self_ms"]), r["path"]))
-    return rows
-
-
-def profile_regressions(
-        base: dict, head: dict,
-        max_regress_pct: float = DEFAULT_MAX_REGRESS_PCT,
-        min_self_ms: float = DEFAULT_MIN_SELF_MS) -> List[dict]:
-    """The gate: tracked paths whose self-time p50 regressed.
-
-    A path present in both documents regresses when its head p50
-    exceeds the base p50 by more than ``max_regress_pct`` percent; a
-    path only the head has (an added span) regresses when its head p50
-    is at least ``min_self_ms``, reported with base 0 and an infinite
-    percentage.  Paths below ``min_self_ms`` are never gated (a
-    one-tick path doubling is instrumentation noise, not a hotspot
-    regression), paths only the base has never gate, and
-    non-deterministic (wall-clock) documents refuse to gate at all.
-    """
-    if max_regress_pct < 0:
-        raise ConfigError("regression tolerance must be >= 0")
-    if not base.get("deterministic", False) \
-            or not head.get("deterministic", False):
-        raise ConfigError(
-            "refusing to gate non-deterministic (wall-clock) "
-            "profiles; capture both sides on the tick clock with "
-            "`python -m repro profile --out <path>`")
-    out: List[dict] = []
-    base_paths = load_profile_document(base)["paths"]
-    head_paths = load_profile_document(head)["paths"]
-    for path in sorted(head_paths):
-        h50 = head_paths[path].get("self_p50_ms")
-        if path not in base_paths:
-            if h50 is not None and float(h50) >= min_self_ms:
-                out.append({"path": path, "baseline": 0.0,
-                            "current": float(h50),
-                            "regress_pct": math.inf})
-            continue
-        b50 = base_paths[path].get("self_p50_ms")
-        if b50 is None or h50 is None:
-            continue
-        b50, h50 = float(b50), float(h50)
-        if b50 < min_self_ms or b50 <= 0:
-            continue
-        pct = 100.0 * (h50 - b50) / b50
-        if pct > max_regress_pct:
-            out.append({"path": path, "baseline": b50, "current": h50,
-                        "regress_pct": pct})
-    return out

@@ -26,7 +26,7 @@ class TestParallelMap:
         assert parallel_map(_square, [1, 2], workers=4) == [1, 4]
 
     def test_force_serial(self):
-        out = parallel_map(_square, list(range(10)), force_serial=True)
+        out = parallel_map(_square, list(range(10)), workers=1)
         assert out == [i * i for i in range(10)]
 
     def test_empty(self):

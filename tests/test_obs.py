@@ -15,10 +15,9 @@ from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.obs import (DEFAULT_BUCKETS_MS, NULL_SPAN, NULL_TRACER,
                        Aggregator, Counter, MetricsRegistry, NullTracer,
                        QuantileSketch, TelemetryBus, Tracer,
-                       aggregate_tree, chrome_trace, current_tracer,
-                       exclusive_total_s, record_event, render_tree,
-                       use_telemetry, use_tracer, write_chrome_trace,
-                       write_spans_jsonl)
+                       build_profile, chrome_trace, current_tracer,
+                       record_event, render_profile, use_telemetry,
+                       use_tracer, write_chrome_trace, write_spans_jsonl)
 
 
 class FakeClock:
@@ -202,18 +201,19 @@ class TestExport:
         assert {r["name"] for r in rows} == {"root", "stage"}
 
     def test_aggregate_tree_and_closure(self):
-        t = self._trace()
-        (root,) = aggregate_tree(t.finished_spans())
-        assert root.name == "root"
-        assert root.children["stage"].count == 2
-        # Exclusive times over the tree sum to the root's inclusive.
-        assert exclusive_total_s(root) == pytest.approx(
-            root.inclusive_s)
-        text = render_tree(t.finished_spans())
-        assert "root" in text and "stage" in text
+        prof = build_profile(self._trace().finished_spans(),
+                             quantize=False)
+        assert sorted(prof.paths) == ["root", "root/stage"]
+        stage = prof.paths["root/stage"]
+        assert (stage.count, stage.events) == (2, 1)
+        # Self times over the tree sum to the root's total.
+        assert prof.total_self_ms() == pytest.approx(
+            prof.paths["root"].total_ms)
+        text = render_profile(prof)
+        assert "root/stage" in text and "100.0%" in text
 
     def test_render_empty(self):
-        assert "no spans" in render_tree([])
+        assert "no spans" in render_profile(build_profile([]))
 
 
 class TestPipelineTracing:
@@ -319,8 +319,7 @@ class TestParallelTracing:
     def test_serial_path_spans(self):
         tracer = Tracer()
         with use_tracer(tracer), tracer.span("caller"):
-            out = parallel_map(_traced_square, [1, 2, 3],
-                               force_serial=True)
+            out = parallel_map(_traced_square, [1, 2, 3], workers=1)
         assert out == [1, 4, 9]
         items = [s for s in tracer.finished_spans()
                  if s.name == "map_item"]

@@ -216,7 +216,7 @@ class TestCrossProcessAggregation:
 
         bus_ser = TelemetryBus()
         with use_telemetry(bus_ser):
-            parallel_map(_emit_work, items, force_serial=True)
+            parallel_map(_emit_work, items, workers=1)
 
         assert len(bus_par.samples) == len(bus_ser.samples) == 180
         assert bus_par.devices() == bus_ser.devices()

@@ -1,22 +1,20 @@
 """Profile subsystem tests: tick clock, path algebra, determinism,
-shard/worker invariance, the diff gate, and the CLI surface.
+shard/worker invariance, the one span aggregation, and the CLI surface.
 
 The acceptance criteria live here in machine-checked form:
 
 * ``repro profile`` output is byte-identical across reruns and across
   shard counts {1, 4} (and across 1-vs-N ``parallel_map`` workers);
-* ``repro profile --diff`` exits non-zero when a tracked path's
-  self-time p50 regresses beyond tolerance or a new path reaches the
-  noise floor;
 * the committed ``profile_baseline/PROFILE_baseline.json`` is fresh —
-  recapturing it reproduces the committed bytes exactly.
+  recapturing it reproduces the committed bytes exactly, and a stale
+  baseline fails naming the paths that moved;
+* ``build_profile`` on a wall-clock trace equals the recursive
+  name-path fold that ``repro trace`` used to print.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-import math
 import os
 
 import pytest
@@ -27,11 +25,9 @@ from repro.cli import main
 from repro.errors import (BenchmarkError, ConfigError,
                           SerializationError)
 from repro.io.jsonio import dumps_json
-from repro.obs import (Profile, TickClock, Tracer, build_profile,
-                       diff_profiles, folded_stacks,
-                       load_profile_document, profile_document,
-                       profile_regressions, render_profile,
-                       span_paths, use_tracer)
+from repro.obs import (PROFILE_SCHEMA, Profile, TickClock, Tracer,
+                       build_profile, folded_stacks, profile_document,
+                       render_profile, span_paths, use_tracer)
 from repro.obs.profile import PATH_SEP
 from repro.obs.tracer import Span
 
@@ -229,19 +225,48 @@ class TestDeterminism:
             profiler.BASELINE_TARGETS
 
 
+def moved_paths(base, head, limit=20):
+    """Name the path keys that differ between two profile path tables:
+    added, removed, then changed, at most ``limit`` of them."""
+    moved = [f"added {p}" for p in sorted(set(head) - set(base))]
+    moved += [f"removed {p}" for p in sorted(set(base) - set(head))]
+    moved += [f"changed {p}" for p in sorted(set(base) & set(head))
+              if base[p] != head[p]]
+    if not moved:
+        return "bytes differ, but no path was added, removed or changed"
+    more = len(moved) - limit
+    lines = moved[:limit] + ([f"... and {more} more"] if more > 0 else [])
+    return f"{len(moved)} path(s) moved:\n  " + "\n  ".join(lines)
+
+
 class TestCommittedBaseline:
     def test_baseline_is_fresh(self):
-        """Recapturing the baseline reproduces the committed bytes."""
+        """Recapturing the baseline reproduces the committed bytes; a
+        mismatch names the paths that moved."""
         path = os.path.join(REPO_ROOT, profiler.DEFAULT_BASELINE_PATH)
         with open(path, "r", encoding="utf-8") as fh:
             committed = fh.read()
         doc = profiler.capture_document(profiler.BASELINE_TARGETS)
-        assert dumps_json(doc) + "\n" == committed
+        assert dumps_json(doc) + "\n" == committed, moved_paths(
+            json.loads(committed)["paths"], doc["paths"])
+
+    def test_moved_paths_names_each_kind(self):
+        base = {"a": {"self_ms": 1}, "b": {"self_ms": 2},
+                "c": {"self_ms": 3}}
+        head = {"a": {"self_ms": 1}, "b": {"self_ms": 5},
+                "d": {"self_ms": 3}}
+        assert moved_paths(base, head) == (
+            "3 path(s) moved:\n  added d\n  removed c\n  changed b")
+        assert moved_paths(base, base).startswith("bytes differ")
+        many = {f"p{i:02d}": {} for i in range(25)}
+        text = moved_paths({}, many)
+        assert text.count("\n  added") == 20
+        assert text.endswith("... and 5 more")
 
     def test_baseline_covers_required_hot_paths(self):
-        doc = profiler.load_profile(
-            os.path.join(REPO_ROOT, profiler.DEFAULT_BASELINE_PATH))
-        paths = list(doc["paths"])
+        path = os.path.join(REPO_ROOT, profiler.DEFAULT_BASELINE_PATH)
+        with open(path, "r", encoding="utf-8") as fh:
+            paths = list(json.load(fh)["paths"])
         for needle in ("exp_serving/cluster.loop/cluster.on_dispatch",
                        "fleet.merge",
                        "render.scene", "nn.im2col",
@@ -271,73 +296,11 @@ class TestExports:
 
     def test_document_roundtrip_validates(self):
         doc = profile_document(self._profile(), targets=["x"])
-        assert load_profile_document(doc) is doc
-        bad = dict(doc, schema=99)
-        with pytest.raises(SerializationError):
-            load_profile_document(bad)
-        with pytest.raises(SerializationError):
-            load_profile_document({"schema": 1})
-
-
-class TestDiffGate:
-    def _docs(self):
-        prof = Profile()
-        for _ in range(4):
-            prof.record("hot/path", 10, 12, 0)
-            prof.record("cold/path", 1, 1, 0)
-        base = profile_document(prof, targets=["t"])
-        return base, copy.deepcopy(base)
-
-    def test_identical_profiles_pass(self):
-        base, head = self._docs()
-        assert profile_regressions(base, head) == []
-        rows = diff_profiles(base, head)
-        assert all(r["delta_self_ms"] == 0 for r in rows)
-
-    def test_slowed_hot_path_regresses(self):
-        base, head = self._docs()
-        head["paths"]["hot/path"]["self_p50_ms"] *= 1.5
-        hits = profile_regressions(base, head)
-        assert [h["path"] for h in hits] == ["hot/path"]
-        assert hits[0]["regress_pct"] == pytest.approx(50.0)
-
-    def test_noise_floor_skips_tiny_paths(self):
-        base, head = self._docs()
-        head["paths"]["cold/path"]["self_p50_ms"] = 100.0
-        head["paths"]["new/path"] = dict(base["paths"]["cold/path"])
-        assert profile_regressions(base, head) == []
-
-    def test_within_tolerance_passes(self):
-        base, head = self._docs()
-        head["paths"]["hot/path"]["self_p50_ms"] *= 1.05
-        assert profile_regressions(base, head) == []
-        assert profile_regressions(base, head,
-                                   max_regress_pct=1.0) != []
-
-    def test_added_and_removed_paths_flagged(self):
-        base, head = self._docs()
-        del head["paths"]["cold/path"]
-        head["paths"]["new/path"] = dict(base["paths"]["hot/path"])
-        status = {r["path"]: r["status"]
-                  for r in diff_profiles(base, head)}
-        assert status["cold/path"] == "removed"
-        assert status["new/path"] == "added"
-        # an added path above the noise floor gates; a removed one never
-        hits = profile_regressions(base, head)
-        assert [h["path"] for h in hits] == ["new/path"]
-        assert hits[0]["baseline"] == 0.0
-        assert hits[0]["regress_pct"] == math.inf
-
-    def test_nondeterministic_documents_refuse_to_gate(self):
-        base, head = self._docs()
-        head["deterministic"] = False
-        with pytest.raises(ConfigError):
-            profile_regressions(base, head)
-
-    def test_negative_tolerance_rejected(self):
-        base, head = self._docs()
-        with pytest.raises(ConfigError):
-            profile_regressions(base, head, max_regress_pct=-1)
+        assert doc["schema"] == PROFILE_SCHEMA
+        assert doc["deterministic"] is True
+        assert json.loads(dumps_json(doc)) == doc
+        wall = profile_document(self._profile(), deterministic=False)
+        assert wall["deterministic"] is False
 
 
 #: Experiments traced by the equivalence pin: a dataset build plus
@@ -360,21 +323,30 @@ def wall_traces():
 
 
 def _name_fold(spans):
-    """Reference fold: ``{path: (count, events, incl ms, excl ms)}``
-    from walking the aggregated name tree root to leaf."""
-    from repro.obs import aggregate_tree
+    """Reference fold: ``{path: (count, events, incl ms, excl ms)}``,
+    built by recursing from the roots and grouping siblings by name —
+    the span tree ``repro trace`` printed before it used the Profile."""
+    by_id = {sp.span_id: sp for sp in spans}
+    children = {}
+    for sp in spans:
+        parent = sp.parent_id if sp.parent_id in by_id else None
+        children.setdefault(parent, []).append(sp)
     rows = {}
 
-    def walk(node, prefix):
-        path = f"{prefix}/{node.name}" if prefix else node.name
-        rows[path] = (node.count, node.events,
-                      node.inclusive_s * 1e3, node.exclusive_s * 1e3)
-        for child in node.children.values():
-            walk(child, path)
+    def fold(prefix, group):
+        for sp in group:
+            path = f"{prefix}/{sp.name}" if prefix else sp.name
+            kids = children.get(sp.span_id, [])
+            count, events, incl, excl = rows.get(path, (0, 0, 0.0, 0.0))
+            rows[path] = (count + 1, events + len(sp.events),
+                          incl + sp.duration_s,
+                          excl + sp.duration_s
+                          - sum(k.duration_s for k in kids))
+            fold(path, kids)
 
-    for root in aggregate_tree(spans):
-        walk(root, "")
-    return rows
+    fold("", children.get(None, []))
+    return {path: (count, events, incl * 1e3, excl * 1e3)
+            for path, (count, events, incl, excl) in rows.items()}
 
 
 class TestOneAggregation:
@@ -419,57 +391,6 @@ class TestCli:
                    for line in text.splitlines())
         assert "self ms" in capsys.readouterr().out
 
-    def test_profile_diff_identical_exits_zero(self, tmp_path,
-                                               capsys):
-        out = tmp_path / "head.json"
-        assert main(["profile", "nn_forward",
-                     "--out", str(out)]) == 0
-        rc = main(["profile", "--diff", str(out), str(out)])
-        assert rc == 0
-        assert "no self-time p50 regression" in \
-            capsys.readouterr().out
-
-    def test_profile_diff_slowed_path_exits_nonzero(self, tmp_path,
-                                                    capsys):
-        """The acceptance check: a synthetically slowed hot path
-        makes ``repro profile --diff`` exit non-zero."""
-        base_p = tmp_path / "base.json"
-        head_p = tmp_path / "head.json"
-        assert main(["profile", "nn_forward",
-                     "--out", str(base_p)]) == 0
-        doc = json.loads(base_p.read_text())
-        hot = max(doc["paths"],
-                  key=lambda p: doc["paths"][p]["self_p50_ms"])
-        doc["paths"][hot]["self_p50_ms"] *= 2.0
-        head_p.write_text(dumps_json(doc))
-        rc = main(["profile", "--diff", str(base_p), str(head_p)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "REGRESSION" in err and hot in err
-
-    def test_profile_diff_added_span_exits_nonzero(self, tmp_path,
-                                                   capsys):
-        """One added span (a new path with 399 ms of self time) fails
-        the gate, even though every shared path is unchanged."""
-        base_p = tmp_path / "base.json"
-        head_p = tmp_path / "head.json"
-        assert main(["profile", "nn_forward",
-                     "--out", str(base_p)]) == 0
-        doc = json.loads(base_p.read_text())
-        added = "probe:nn_forward/extra"
-        doc["paths"][added] = dict(
-            next(iter(doc["paths"].values())), self_ms=399.0,
-            self_p50_ms=399.0, self_p99_ms=399.0)
-        head_p.write_text(dumps_json(doc))
-        rc = main(["profile", "--diff", str(base_p), str(head_p)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert f"{added}: 0.00 -> 399.00 ms (new path)" in err
-
-    def test_profile_diff_missing_file_is_cli_error(self, tmp_path):
-        assert main(["profile", "--diff", str(tmp_path / "a.json"),
-                     str(tmp_path / "b.json")]) == 2
-
     def test_profile_unknown_target_is_cli_error(self, tmp_path):
         assert main(["profile", "bogus_target",
                      "--out", str(tmp_path / "x.json")]) == 2
@@ -484,26 +405,6 @@ class TestCli:
         assert doc["deterministic"] is False  # wall-clock capture
         assert doc["targets"] == ["ablation_pipeline"]
         assert any("pipeline.run" in p for p in doc["paths"])
-
-    def test_profile_diff_refuses_wall_clock_document(self, tmp_path,
-                                                      capsys,
-                                                      monkeypatch):
-        # A `repro trace --json` document is wall-clock
-        # (deterministic: false): the diff table still prints, but the
-        # gate refuses it with a CLI error instead of passing.
-        monkeypatch.chdir(tmp_path)
-        assert main(["trace", "ablation_pipeline", "--json"]) == 0
-        wall = tmp_path / "wall.json"
-        wall.write_text(capsys.readouterr().out)
-        tick = tmp_path / "tick.json"
-        assert main(["profile", "nn_forward", "--out", str(tick)]) == 0
-        capsys.readouterr()
-        for pair in ((tick, wall), (wall, tick)):
-            rc = main(["profile", "--diff", str(pair[0]), str(pair[1])])
-            assert rc == 2
-            captured = capsys.readouterr()
-            assert "base self" in captured.out  # diff shown first
-            assert "refusing to gate non-deterministic" in captured.err
 
     def test_trace_out_creates_parent_dirs(self, tmp_path):
         out = tmp_path / "nested" / "trace.json"

@@ -50,13 +50,13 @@ def build_parser(sub):
 README = """
 Usage: repro run <id> and repro lint [--strict].
 Fleet mode: repro serve-sim --cells 4 --shards 2 --autoscale.
-Hotspots: repro profile --diff BASE.json HEAD.json.
+Hotspots: repro profile --folded HEAD.folded.
 """
 
 #: README that never mentions the fleet subcommand — RL102 bait.
 README_NO_SERVE_SIM = """
 Usage: repro run <id> and repro lint [--strict].
-Hotspots: repro profile --diff BASE.json HEAD.json.
+Hotspots: repro profile --folded HEAD.folded.
 """
 
 #: README that never mentions the profile subcommand — RL102 bait.

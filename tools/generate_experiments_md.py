@@ -100,10 +100,9 @@ than summarise them afterwards (see DESIGN.md, "Streaming telemetry"):
   and cluster loop) and ``nn_forward`` (conv im2col/GEMM) — and is
   byte-stable across machines, reruns and shard counts, so the
   ``tests/test_profile.py`` freshness test recaptures it and compares
-  bytes on every tier-1 run; ``repro profile --diff
-  profile_baseline/PROFILE_baseline.json <head>`` prints the per-path
-  deltas of a regenerated baseline.  Regenerate after intentional
-  hot-path changes with ``python -m repro profile --out
+  bytes on every tier-1 run; when the bytes differ, its message names
+  the span paths that were added, removed or changed.  Regenerate after
+  intentional hot-path changes with ``python -m repro profile --out
   profile_baseline/PROFILE_baseline.json``.
 
 Ten deterministic sketch snapshots (latency at the grid's corners, the
